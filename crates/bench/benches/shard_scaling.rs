@@ -1,9 +1,8 @@
 //! Multi-threaded ingestion throughput: the single-mutex
 //! [`OnlineDetector`] against [`ShardedOnlineDetector`] at shard counts
-//! {1, 2, 4, 8}, across the sync-plane constructions (lock-free
-//! `sharded_seqlock` — unbatched and with 64-event access batches —
-//! mutex-slot `sharded`, legacy `sharded_replicated`). The per-sync-event cost
-//! in isolation is the `sync_cost` bench's job; this one measures the
+//! {1, 2, 4, 8}, unbatched (`sharded_seqlock`) and with 64-event access
+//! batches (`sharded_seqlock_b64`). The per-sync-event cost in
+//! isolation is the `sync_cost` bench's job; this one measures the
 //! whole contended pipeline.
 //!
 //! Four producer threads hammer the façade with a dbsim-shaped event
@@ -21,7 +20,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use freshtrack_bench::sync_stream::Ingest;
-use freshtrack_core::{Detector, DjitDetector, OnlineDetector, ShardedOnlineDetector, SyncMode};
+use freshtrack_core::{Detector, DjitDetector, OnlineDetector, ShardedOnlineDetector};
 use freshtrack_sampling::AlwaysSampler;
 
 /// Producer threads.
@@ -74,16 +73,11 @@ fn bench_shard_scaling(c: &mut Criterion) {
             std::hint::black_box(online.finish());
         })
     });
-    for (tag, mode, batch) in [
-        ("sharded_seqlock", SyncMode::Seqlock, 1usize),
-        ("sharded_seqlock_b64", SyncMode::Seqlock, 64),
-        ("sharded", SyncMode::Shared, 1),
-        ("sharded_replicated", SyncMode::Replicated, 1),
-    ] {
+    for (tag, batch) in [("sharded_seqlock", 1usize), ("sharded_seqlock_b64", 64)] {
         for shards in [1usize, 2, 4, 8] {
             g.bench_with_input(BenchmarkId::new(tag, shards), &shards, |b, &n| {
                 b.iter(|| {
-                    let online = ShardedOnlineDetector::with_options(detector(), n, mode, batch);
+                    let online = ShardedOnlineDetector::with_options(detector(), n, batch);
                     drive(&online);
                     std::hint::black_box(online.finish());
                 })

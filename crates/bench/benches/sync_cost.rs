@@ -1,27 +1,20 @@
-//! Per-sync-event ingestion cost vs shard count — the measurement the
-//! two-plane refactor exists for.
+//! Per-sync-event ingestion cost vs shard count.
 //!
 //! Drives the shared single-threaded sync-heavy stream
 //! ([`freshtrack_bench::sync_stream`] — the same mix
 //! `record_baseline --sync-cost` records as `BENCH_sync_cost.json`)
 //! through each ingestion façade, so the number reflects the *analysis
 //! work one sync event triggers* — no contention, no scheduler noise.
-//! Under the legacy replicated skeleton ([`SyncMode::Replicated`])
-//! that work grows `O(N)` with the shard count; under the two-plane
-//! constructions it is flat in `N` — [`SyncMode::Shared`] pays one
-//! mutex-slot view publication per sync event, [`SyncMode::Seqlock`]
-//! (the default) a lock-free seqlock store. `shard_scaling` measures
-//! the complementary quantity: whole-pipeline throughput under real
+//! The sharded detector keeps one sync plane, so that work is flat in
+//! the shard count: one clock update plus a lock-free seqlock store of
+//! the issuing thread's view. `shard_scaling` measures the
+//! complementary quantity: whole-pipeline throughput under real
 //! contention.
-//!
-//! [`SyncMode::Replicated`]: freshtrack_core::SyncMode::Replicated
-//! [`SyncMode::Shared`]: freshtrack_core::SyncMode::Shared
-//! [`SyncMode::Seqlock`]: freshtrack_core::SyncMode::Seqlock
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use freshtrack_bench::sync_stream::{self, Facade};
-use freshtrack_core::{Detector, DjitDetector, SyncMode};
+use freshtrack_core::{Detector, DjitDetector};
 use freshtrack_sampling::AlwaysSampler;
 
 /// Acquire/release pairs per measured round.
@@ -29,13 +22,13 @@ const PAIRS: u32 = 4_000;
 
 fn detector() -> DjitDetector<AlwaysSampler> {
     // Djit+ sync handlers are the heavy O(T)-per-event case (FT shares
-    // them); this is where replication fan-out hurts most.
+    // them).
     let mut d = DjitDetector::new(AlwaysSampler::new());
     d.reserve_threads(64);
     d
 }
 
-fn run_point(point: Option<(SyncMode, usize)>) {
+fn run_point(point: Option<usize>) {
     let facade = Facade::new(detector(), point);
     if let Facade::Sharded(f) = &facade {
         f.reserve_threads(64);
@@ -49,16 +42,10 @@ fn bench_sync_cost(c: &mut Criterion) {
     let mut g = c.benchmark_group("sync_cost");
     g.throughput(Throughput::Elements(2 * PAIRS as u64));
     g.bench_function("single_mutex", |b| b.iter(|| run_point(None)));
-    for (tag, mode) in [
-        ("seqlock", SyncMode::Seqlock),
-        ("shared", SyncMode::Shared),
-        ("replicated", SyncMode::Replicated),
-    ] {
-        for shards in [1usize, 2, 4, 8] {
-            g.bench_with_input(BenchmarkId::new(tag, shards), &shards, |b, &n| {
-                b.iter(|| run_point(Some((mode, n))))
-            });
-        }
+    for shards in [1usize, 2, 4, 8] {
+        g.bench_with_input(BenchmarkId::new("seqlock", shards), &shards, |b, &n| {
+            b.iter(|| run_point(Some(n)))
+        });
     }
     g.finish();
 }

@@ -100,22 +100,19 @@ fn main() {
     println!("expected shape: 1 < ET < ST-0.3% < ST-3% < ST-10% < FT");
 
     if let Some(path) = out_path {
-        let (shards, sync_mode) = match mode {
-            IngestMode::SingleMutex => (0, "none"),
-            IngestMode::ShardedSeqlock(n) => (n, "seqlock"),
-            IngestMode::Sharded(n) => (n, "shared"),
-            IngestMode::ShardedReplicated(n) => (n, "replicated"),
+        let shards = match mode {
+            IngestMode::SingleMutex => 0,
+            IngestMode::ShardedSeqlock(n) => n,
         };
         let json = format!(
             "{{\n  \"schema\": \"freshtrack/dbsim-latency-table/v1\",\n  \
              \"workers\": {},\n  \"txns_per_worker\": {},\n  \"seed\": {},\n  \
-             \"shards\": {},\n  \"sync_mode\": \"{}\",\n  \"note\": \"absolute per-transaction latencies; shards=0 means the single-mutex ingestion path; sync_mode tags the sharded sync-skeleton construction\",\n  \
+             \"shards\": {},\n  \"note\": \"absolute per-transaction latencies; shards=0 means the single-mutex ingestion path\",\n  \
              \"rows\": [\n{}\n  ]\n}}\n",
             options.workers,
             options.txns_per_worker,
             options.seed,
             shards,
-            sync_mode,
             json_rows.join(",\n")
         );
         std::fs::write(&path, &json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));

@@ -12,8 +12,7 @@
 //! | `FT_SCALE` | offline trace scale (1.0 = corpus default) | 0.2 |
 //! | `FT_SEED` | base seed | 42 |
 //! | `FT_SHARDS` | ingestion shards (≤1 = paper-faithful single mutex) | 1 |
-//! | `FT_SYNC_MODE` | sharded sync plane: `seqlock`/`shared`/`replicated` | seqlock |
-//! | `FT_BATCH` | per-shard access batch capacity (1 = unbatched) | 1 |
+//! //! | `FT_BATCH` | per-shard access batch capacity (1 = unbatched) | 1 |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -102,52 +101,32 @@ pub enum IngestMode {
     /// serializes through one lock, reproducing the contention model of
     /// the paper's Fig. 5.
     SingleMutex,
-    /// Two-plane sharded ingestion with the seqlock-published sync
-    /// plane ([`SyncMode::Seqlock`], the detector default): access
-    /// shards read published clock views lock-free; sync events update
-    /// one shared sync engine.
+    /// Sharded ingestion ([`freshtrack_dbsim::ShardedInstrument`]):
+    /// accesses route to `hash(var) % N` shards and read their thread's
+    /// seqlock-published clock view lock-free; sync events update one
+    /// shared sync engine, so per-sync cost is flat in `N`. Same
+    /// verdicts, higher throughput.
     ShardedSeqlock(usize),
-    /// Two-plane sharded ingestion with mutex-slot clock views
-    /// ([`freshtrack_dbsim::ShardedInstrument`] in
-    /// [`SyncMode::Shared`]): accesses route to `hash(var) % N` shards,
-    /// sync events update one shared sync engine — per-sync cost flat
-    /// in `N`. Same verdicts, higher throughput.
-    Sharded(usize),
-    /// PR 3's replicated-skeleton sharding ([`SyncMode::Replicated`]):
-    /// sync events fan out to all `N` shards. Kept selectable so the
-    /// `O(N)` → `O(1)×` sync-cost drop stays measurable
-    /// (`record_baseline --sync-cost`, `BENCH_sync_cost.json`).
-    ShardedReplicated(usize),
 }
 
 impl IngestMode {
-    /// The mode selected by `FT_SHARDS` (and `FT_SYNC_MODE`): `0`/`1`
-    /// (the default) is the single-mutex baseline; `N ≥ 2` enables
-    /// seqlock-published two-plane sharding (the default), or the
-    /// mutex-slot / replicated-skeleton constructions when
-    /// `FT_SYNC_MODE=shared` / `FT_SYNC_MODE=replicated`. Use
+    /// The mode selected by `FT_SHARDS`: `0`/`1` (the default) is the
+    /// single-mutex baseline; `N ≥ 2` enables sharding. Use
     /// [`IngestMode::ShardedSeqlock`]`(1)` directly to measure the
     /// sharded skeleton's overhead at one shard.
     pub fn from_env() -> IngestMode {
-        let sync_mode = std::env::var("FT_SYNC_MODE").unwrap_or_default();
         match env_or("FT_SHARDS", 1usize) {
             0 | 1 => IngestMode::SingleMutex,
-            n if sync_mode.eq_ignore_ascii_case("replicated") => IngestMode::ShardedReplicated(n),
-            n if sync_mode.eq_ignore_ascii_case("shared") => IngestMode::Sharded(n),
             n => IngestMode::ShardedSeqlock(n),
         }
     }
 
-    /// A short suffix for labels: empty for the baseline,
-    /// `"+shards=N"` (seqlock default) /
-    /// `"+shards=N(shared)"` / `"+shards=N(replicated)"` for sharded
-    /// runs.
+    /// A short suffix for labels: empty for the baseline, `"+shards=N"`
+    /// for sharded runs.
     pub fn label_suffix(&self) -> String {
         match self {
             IngestMode::SingleMutex => String::new(),
             IngestMode::ShardedSeqlock(n) => format!("+shards={n}"),
-            IngestMode::Sharded(n) => format!("+shards={n}(shared)"),
-            IngestMode::ShardedReplicated(n) => format!("+shards={n}(replicated)"),
         }
     }
 }
@@ -181,8 +160,8 @@ pub struct OnlineRun {
     pub p99_us: u64,
     /// Race reports (empty for NT/ET).
     pub reports: Vec<RaceReport>,
-    /// Detector counters (zeroed for NT; merged across shards for
-    /// sharded runs — see [`Counters::merge`]).
+    /// Detector counters (zeroed for NT; summed over the sync plane
+    /// and the access shards for sharded runs).
     pub counters: Counters,
 }
 
@@ -326,17 +305,6 @@ fn finish<D: freshtrack_core::SplitDetector + 'static>(
             SyncMode::Seqlock,
             batch,
         ),
-        IngestMode::Sharded(shards) => {
-            run_sharded(workload, options, detector, shards, SyncMode::Shared, batch)
-        }
-        IngestMode::ShardedReplicated(shards) => run_sharded(
-            workload,
-            options,
-            detector,
-            shards,
-            SyncMode::Replicated,
-            batch,
-        ),
     };
     OnlineRun {
         label,
@@ -364,9 +332,7 @@ pub fn racy_locations(reports: &[RaceReport]) -> usize {
 /// and the recorded `BENCH_sync_cost.json` always measure the same
 /// workload.
 pub mod sync_stream {
-    use freshtrack_core::{
-        Detector, OnlineDetector, ShardedOnlineDetector, SplitDetector, SyncMode,
-    };
+    use freshtrack_core::{Detector, OnlineDetector, ShardedOnlineDetector, SplitDetector};
 
     /// Virtual application threads issuing the stream.
     pub const THREADS: u32 = 8;
@@ -424,26 +390,24 @@ pub mod sync_stream {
     pub enum Facade<D: SplitDetector + 'static> {
         /// The single-mutex [`OnlineDetector`] baseline.
         Mutex(OnlineDetector<D>),
-        /// A [`ShardedOnlineDetector`] in some [`SyncMode`].
+        /// A [`ShardedOnlineDetector`].
         Sharded(ShardedOnlineDetector<D>),
     }
 
     impl<D: SplitDetector + 'static> Facade<D> {
         /// Builds the façade for one sweep point: `None` is the
-        /// single-mutex baseline, `Some((mode, n))` a sharded detector.
-        pub fn new(detector: D, point: Option<(SyncMode, usize)>) -> Self {
+        /// single-mutex baseline, `Some(n)` a detector with `n` shards.
+        pub fn new(detector: D, point: Option<usize>) -> Self {
             Facade::new_batched(detector, point, 1)
         }
 
         /// Like [`Facade::new`], but sharded points buffer up to `batch`
         /// accesses per shard-lock acquisition (the single-mutex
         /// baseline has no batching; `batch` is ignored there).
-        pub fn new_batched(detector: D, point: Option<(SyncMode, usize)>, batch: usize) -> Self {
+        pub fn new_batched(detector: D, point: Option<usize>, batch: usize) -> Self {
             match point {
                 None => Facade::Mutex(OnlineDetector::new(detector)),
-                Some((mode, n)) => Facade::Sharded(ShardedOnlineDetector::with_options(
-                    detector, n, mode, batch,
-                )),
+                Some(n) => Facade::Sharded(ShardedOnlineDetector::with_options(detector, n, batch)),
             }
         }
     }
@@ -613,11 +577,6 @@ mod tests {
         assert_eq!(OnlineConfig::Nt.label(), "NT");
         assert_eq!(IngestMode::SingleMutex.label_suffix(), "");
         assert_eq!(IngestMode::ShardedSeqlock(4).label_suffix(), "+shards=4");
-        assert_eq!(IngestMode::Sharded(4).label_suffix(), "+shards=4(shared)");
-        assert_eq!(
-            IngestMode::ShardedReplicated(2).label_suffix(),
-            "+shards=2(replicated)"
-        );
     }
 
     #[test]
@@ -648,12 +607,7 @@ mod tests {
             txns_per_worker: 30,
             seed: 1,
         };
-        for mode in [
-            IngestMode::ShardedSeqlock(1),
-            IngestMode::ShardedSeqlock(4),
-            IngestMode::Sharded(4),
-            IngestMode::ShardedReplicated(4),
-        ] {
+        for mode in [IngestMode::ShardedSeqlock(1), IngestMode::ShardedSeqlock(4)] {
             let run = run_online_with(&w, OnlineConfig::Ft, &opts, mode, 1);
             assert_eq!(run.label, "FT");
             assert_eq!(run.counters.races as usize, run.reports.len());

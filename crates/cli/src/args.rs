@@ -28,25 +28,37 @@ impl std::error::Error for ArgError {}
 
 impl Args {
     /// Parses raw arguments. `known_flags` lists options that take no
-    /// value; everything else starting with `--` expects one.
-    pub fn parse<I, S>(raw: I, known_flags: &[&str]) -> Result<Args, ArgError>
+    /// value and `known_options` those that take one (a name may be in
+    /// both: `--cache` is a flag, `--cache=PATH` an option). Any other
+    /// `--name` is an error naming it.
+    pub fn parse<I, S>(
+        raw: I,
+        known_flags: &[&str],
+        known_options: &[&str],
+    ) -> Result<Args, ArgError>
     where
         I: IntoIterator<Item = S>,
         S: Into<String>,
     {
+        let unknown = |name: &str| ArgError(format!("unknown option --{name}"));
         let mut args = Args::default();
         let mut iter = raw.into_iter().map(Into::into).peekable();
         while let Some(arg) = iter.next() {
             if let Some(name) = arg.strip_prefix("--") {
                 if let Some((key, value)) = name.split_once('=') {
+                    if !known_options.contains(&key) {
+                        return Err(unknown(key));
+                    }
                     args.options.insert(key.to_owned(), value.to_owned());
                 } else if known_flags.contains(&name) {
                     args.flags.push(name.to_owned());
-                } else {
+                } else if known_options.contains(&name) {
                     let value = iter
                         .next()
                         .ok_or_else(|| ArgError(format!("--{name} expects a value")))?;
                     args.options.insert(name.to_owned(), value);
+                } else {
+                    return Err(unknown(name));
                 }
             } else {
                 args.positional.push(arg);
@@ -107,6 +119,7 @@ mod tests {
         let args = Args::parse(
             ["input.trace", "--rate", "0.03", "--counters", "--seed=7"],
             &["counters"],
+            &["rate", "seed"],
         )
         .unwrap();
         assert_eq!(args.positional(), &["input.trace".to_string()]);
@@ -117,7 +130,7 @@ mod tests {
 
     #[test]
     fn typed_accessors_validate() {
-        let args = Args::parse(["--rate", "abc"], &[]).unwrap();
+        let args = Args::parse(["--rate", "abc"], &[], &["rate"]).unwrap();
         assert!(args.get_or("rate", 0.5f64).is_err());
         assert_eq!(args.get_or("missing", 3u32).unwrap(), 3);
         assert!(args.require::<u32>("missing").is_err());
@@ -125,6 +138,6 @@ mod tests {
 
     #[test]
     fn dangling_option_is_an_error() {
-        assert!(Args::parse(["--rate"], &[]).is_err());
+        assert!(Args::parse(["--rate"], &[], &["rate"]).is_err());
     }
 }

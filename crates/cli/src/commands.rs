@@ -101,7 +101,11 @@ fn open_validated(args: &Args) -> Result<(ValidatedInput, &str), ArgError> {
 }
 
 fn analyze<W: std::io::Write>(rest: &[String], out: &mut W) -> Result<(), ArgError> {
-    let args = Args::parse(rest.iter().cloned(), &["counters", "cache", "no-cache"])?;
+    let args = Args::parse(
+        rest.iter().cloned(),
+        &["counters", "cache", "no-cache"],
+        &["engine", "rate", "seed", "jobs", "cache"],
+    )?;
     let engine: String = args.get_or("engine", "so".to_owned())?;
     let rate: f64 = args.get_or("rate", 0.03)?;
     let seed: u64 = args.get_or("seed", 0)?;
@@ -447,7 +451,7 @@ where
 }
 
 fn convert<W: std::io::Write>(rest: &[String], out: &mut W) -> Result<(), ArgError> {
-    let args = Args::parse(rest.iter().cloned(), &[])?;
+    let args = Args::parse(rest.iter().cloned(), &[], &["to", "segment-events"])?;
     let path = input_path(&args)?;
     let to: String = args.require("to")?;
     // Conversion is a pure re-encoding pipe: the input streams straight
@@ -488,7 +492,7 @@ fn convert<W: std::io::Write>(rest: &[String], out: &mut W) -> Result<(), ArgErr
 /// extra column shows, per segment, whether the `.ftc` sidecar entry
 /// would be reused (`hit`), has gone stale, or does not exist (`-`).
 fn segments_cmd<W: std::io::Write>(rest: &[String], out: &mut W) -> Result<(), ArgError> {
-    let args = Args::parse(rest.iter().cloned(), &["cache"])?;
+    let args = Args::parse(rest.iter().cloned(), &["cache"], &["cache"])?;
     let path = input_path(&args)?;
     if path == "-" {
         return Err(ArgError("segments needs a seekable file, not stdin".into()));
@@ -611,7 +615,11 @@ fn segments_cmd<W: std::io::Write>(rest: &[String], out: &mut W) -> Result<(), A
 const ORACLE_EVENT_CAP: usize = 200_000;
 
 fn oracle<W: std::io::Write>(rest: &[String], out: &mut W) -> Result<(), ArgError> {
-    let args = Args::parse(rest.iter().cloned(), &["stream", "stats"])?;
+    let args = Args::parse(
+        rest.iter().cloned(),
+        &["stream", "stats"],
+        &["rate", "seed", "window", "reservoir"],
+    )?;
     let rate: f64 = args.get_or("rate", 1.0)?;
     let seed: u64 = args.get_or("seed", 0)?;
     if !(0.0..=1.0).contains(&rate) {
@@ -690,7 +698,7 @@ fn oracle<W: std::io::Write>(rest: &[String], out: &mut W) -> Result<(), ArgErro
 }
 
 fn stats<W: std::io::Write>(rest: &[String], out: &mut W) -> Result<(), ArgError> {
-    let args = Args::parse(rest.iter().cloned(), &[])?;
+    let args = Args::parse(rest.iter().cloned(), &[], &[])?;
     // Counts accumulate per event and entity counts come from the
     // source metadata: constant memory regardless of trace size.
     let (mut source, path) = open_validated(&args)?;
@@ -713,7 +721,20 @@ fn parse_pattern(name: &str) -> Result<Pattern, ArgError> {
 }
 
 fn generate_cmd<W: std::io::Write>(rest: &[String], out: &mut W) -> Result<(), ArgError> {
-    let args = Args::parse(rest.iter().cloned(), &[])?;
+    let args = Args::parse(
+        rest.iter().cloned(),
+        &[],
+        &[
+            "pattern",
+            "events",
+            "threads",
+            "locks",
+            "vars",
+            "sync-ratio",
+            "unprotected",
+            "seed",
+        ],
+    )?;
     let pattern = parse_pattern(&args.get_or("pattern", "mixed".to_owned())?)?;
     let config = WorkloadConfig::named("cli")
         .pattern(pattern)
@@ -730,7 +751,7 @@ fn generate_cmd<W: std::io::Write>(rest: &[String], out: &mut W) -> Result<(), A
 }
 
 fn corpus_cmd<W: std::io::Write>(rest: &[String], out: &mut W) -> Result<(), ArgError> {
-    let args = Args::parse(rest.iter().cloned(), &["list"])?;
+    let args = Args::parse(rest.iter().cloned(), &["list"], &["bench", "scale", "seed"])?;
     if args.flag("list") || args.get("bench").is_none() {
         let mut table = Table::new(&["benchmark", "threads", "locks", "events"]);
         for b in corpus::corpus() {
@@ -756,7 +777,13 @@ fn corpus_cmd<W: std::io::Write>(rest: &[String], out: &mut W) -> Result<(), Arg
 }
 
 fn dbsim_cmd<W: std::io::Write>(rest: &[String], out: &mut W) -> Result<(), ArgError> {
-    let args = Args::parse(rest.iter().cloned(), &[])?;
+    let args = Args::parse(
+        rest.iter().cloned(),
+        &[],
+        &[
+            "mix", "workers", "txns", "seed", "engine", "rate", "shards", "batch",
+        ],
+    )?;
     let mix: String = args.get_or("mix", "ycsb".to_owned())?;
     let workload = benchbase::by_name(&mix)
         .ok_or_else(|| ArgError(format!("unknown workload mix `{mix}`")))?;
@@ -771,16 +798,6 @@ fn dbsim_cmd<W: std::io::Write>(rest: &[String], out: &mut W) -> Result<(), ArgE
     if shards == 0 {
         return Err(ArgError("--shards must be at least 1".into()));
     }
-    let mode = match args.get_or("sync", "seqlock".to_owned())?.as_str() {
-        "seqlock" => SyncMode::Seqlock,
-        "shared" => SyncMode::Shared,
-        "replicated" => SyncMode::Replicated,
-        other => {
-            return Err(ArgError(format!(
-                "--sync must be `seqlock`, `shared` or `replicated`, got `{other}`"
-            )))
-        }
-    };
     let batch: usize = args.get_or("batch", 1usize)?;
     if batch == 0 {
         return Err(ArgError("--batch must be at least 1".into()));
@@ -789,39 +806,39 @@ fn dbsim_cmd<W: std::io::Write>(rest: &[String], out: &mut W) -> Result<(), ArgE
 
     // Monomorphized per engine; the run/report plumbing is shared.
     // `--shards 1` (the default) is the paper-faithful single analysis
-    // mutex; `--shards N` routes ingestion through N access shards in
-    // the `--sync` mode (seqlock-published sync plane by default, the
-    // mutex-slot or replicated constructions on request), buffering
-    // `--batch B` accesses per shard-lock acquisition.
+    // mutex; `--shards N` routes ingestion through N access shards
+    // around one seqlock-published sync plane, buffering `--batch B`
+    // accesses per shard-lock acquisition.
     fn go<D: SplitDetector + 'static, W: std::io::Write>(
         detector: D,
         workload: &freshtrack_workloads::DbWorkload,
         options: &RunOptions,
         shards: usize,
-        mode: SyncMode,
         batch: usize,
         out: &mut W,
     ) {
         let name = detector.name();
         let (stats, reports, counters) = if shards >= 2 {
-            run_sharded(workload, options, detector, shards, mode, batch)
+            run_sharded(
+                workload,
+                options,
+                detector,
+                shards,
+                SyncMode::Seqlock,
+                batch,
+            )
         } else {
             let (stats, detector, reports) = run_detector(workload, options, detector);
             let counters = *detector.counters();
             (stats, reports, counters)
         };
         let suffix = if shards >= 2 {
-            let tag = match mode {
-                SyncMode::Seqlock => "",
-                SyncMode::Shared => ", shared",
-                SyncMode::Replicated => ", replicated",
-            };
             let batch_tag = if batch > 1 {
                 format!(", batch={batch}")
             } else {
                 String::new()
             };
-            format!(" (shards={shards}{tag}{batch_tag})")
+            format!(" (shards={shards}{batch_tag})")
         } else {
             String::new()
         };
@@ -832,23 +849,10 @@ fn dbsim_cmd<W: std::io::Write>(rest: &[String], out: &mut W) -> Result<(), ArgE
             stats.mean_us(),
             stats.percentile_us(95.0)
         );
-        // Replicated merges sum skip counts across shards while the
-        // replicated acquires are counted once (`Counters::merge`), so
-        // that mode's skip ratio averages over shards; the two-plane
-        // construction keeps sync counters once by design.
-        let skip_shards = match mode {
-            SyncMode::Replicated if shards >= 2 => shards as u64,
-            _ => 1,
-        };
-        let skip_ratio = if counters.acquires == 0 {
-            0.0
-        } else {
-            counters.acquires_skipped as f64 / (counters.acquires * skip_shards) as f64
-        };
-        // Accesses route to exactly one shard in every mode, so the
-        // sampled/skipped split needs no per-mode normalization: the
-        // skip-path hit rate is the headline number for the hoisted
-        // fast path (invariant 10).
+        // The sync plane performs each sync event once and every access
+        // routes to exactly one shard, so these counters equal the
+        // single-mutex run's. The skip-path hit rate is the headline
+        // number for the hoisted fast path (invariant 10).
         let _ = writeln!(
             out,
             "events={} sampled={} skipped={} (skip {:.1}%) races={} acquires skipped={}",
@@ -857,7 +861,7 @@ fn dbsim_cmd<W: std::io::Write>(rest: &[String], out: &mut W) -> Result<(), ArgE
             counters.skipped_accesses(),
             100.0 * counters.skip_ratio(),
             reports.len(),
-            pct(skip_ratio)
+            pct(counters.acquire_skip_ratio())
         );
     }
 
@@ -867,7 +871,6 @@ fn dbsim_cmd<W: std::io::Write>(rest: &[String], out: &mut W) -> Result<(), ArgE
             &workload,
             &options,
             shards,
-            mode,
             batch,
             out,
         ),
@@ -876,7 +879,6 @@ fn dbsim_cmd<W: std::io::Write>(rest: &[String], out: &mut W) -> Result<(), ArgE
             &workload,
             &options,
             shards,
-            mode,
             batch,
             out,
         ),
@@ -885,7 +887,6 @@ fn dbsim_cmd<W: std::io::Write>(rest: &[String], out: &mut W) -> Result<(), ArgE
             &workload,
             &options,
             shards,
-            mode,
             batch,
             out,
         ),
@@ -894,7 +895,6 @@ fn dbsim_cmd<W: std::io::Write>(rest: &[String], out: &mut W) -> Result<(), ArgE
             &workload,
             &options,
             shards,
-            mode,
             batch,
             out,
         ),
@@ -1393,30 +1393,38 @@ mod tests {
         assert!(out.contains("--shards"), "{out}");
     }
 
+    /// The retired `--sync` option is rejected by name rather than
+    /// ignored, so old scripts that pass it fail loudly instead of
+    /// silently measuring the one remaining construction.
     #[test]
     fn dbsim_sync_mode_flag() {
-        let (code, out) = run_cli(&[
-            "dbsim",
-            "--mix",
-            "sibench",
-            "--workers",
-            "2",
-            "--txns",
-            "20",
-            "--engine",
-            "st",
-            "--shards",
-            "2",
-            "--sync",
-            "replicated",
-        ]);
-        assert_eq!(code, 0, "{out}");
-        assert!(out.contains("(shards=2, replicated)"), "{out}");
+        for tail in [&["--sync", "shared"][..], &["--sync=replicated"]] {
+            let args = [
+                &["dbsim", "--workers", "1", "--txns", "5", "--shards", "2"],
+                tail,
+            ]
+            .concat();
+            let (code, out) = run_cli(&args);
+            assert_eq!(code, 1, "{out}");
+            assert!(out.contains("unknown option --sync"), "{out}");
+        }
+    }
 
-        let (code, out) = run_cli(&["dbsim", "--sync", "bogus"]);
-        assert_eq!(code, 1);
-        assert!(out.contains("--sync"), "{out}");
-        assert!(out.contains("seqlock"), "{out}");
+    #[test]
+    fn unknown_options_are_rejected_by_name() {
+        for (args, name) in [
+            (&["analyze", "t.trace", "--jbos", "2"][..], "--jbos"),
+            (
+                &["dbsim", "--workers", "1", "--txns", "5", "--shrads", "4"],
+                "--shrads",
+            ),
+            (&["oracle", "t.trace", "--windw=16"], "--windw"),
+            (&["generate", "--count"], "--count"),
+        ] {
+            let (code, out) = run_cli(args);
+            assert_eq!(code, 1, "{args:?}: {out}");
+            assert!(out.contains(&format!("unknown option {name}")), "{out}");
+        }
     }
 
     #[test]
@@ -1433,13 +1441,11 @@ mod tests {
             "st",
             "--shards",
             "2",
-            "--sync",
-            "shared",
             "--batch",
             "16",
         ]);
         assert_eq!(code, 0, "{out}");
-        assert!(out.contains("(shards=2, shared, batch=16)"), "{out}");
+        assert!(out.contains("(shards=2, batch=16)"), "{out}");
 
         let (code, out) = run_cli(&["dbsim", "--batch", "0"]);
         assert_eq!(code, 1);

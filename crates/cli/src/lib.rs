@@ -96,10 +96,6 @@ COMMANDS:
                       --shards <n>  access shards (default 1 =
                       single analysis mutex; N>=2 shards access
                       analysis by variable, same verdicts)
-                      --sync seqlock|shared|replicated  sync-plane mode
-                      for N>=2 (default seqlock: lock-free published
-                      clock views; shared: mutex-slot views;
-                      replicated: legacy N-way fan-out)
                       --batch <n>  accesses buffered per shard-lock
                       acquisition (default 1 = unbatched)
     help              show this message

@@ -29,9 +29,9 @@
 //! For concurrent ingestion two thread-safe façades wrap a detector:
 //! [`OnlineDetector`] (one serialization mutex — the paper-faithful
 //! contention model of Fig. 5) and [`ShardedOnlineDetector`]
-//! (per-variable access shards around a shared sync plane — same
-//! verdicts, parallel access analysis; the replicated-sync construction
-//! of PR 3 remains available via [`SyncMode::Replicated`]).
+//! (per-variable access shards around one sync plane whose per-thread
+//! views are published through seqlocks — same verdicts, parallel
+//! access analysis).
 //!
 //! # Example
 //!
@@ -85,8 +85,6 @@ pub use hb_oracle::HbOracle;
 pub use naive_sampling::NaiveSamplingDetector;
 pub use online::{EmptyAccessEngine, EmptyDetector, EmptySyncEngine, OnlineDetector};
 pub use ordered::{OrderedListDetector, OrderedSyncEngine};
-#[doc(hidden)]
-pub use parallel::analyze_segments_waves;
 pub use parallel::{
     analyze_segments, analyze_segments_cached, CachedAnalysis, SegmentedAnalysis,
     CACHE_STATE_VERSION,

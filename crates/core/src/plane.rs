@@ -12,11 +12,10 @@
 //!   clock and reads/writes the *per-variable access history* — state
 //!   that partitions perfectly by variable.
 //!
-//! PR 3's replicated sharding ignored this asymmetry and cloned the
-//! sync state into every shard, so each sync event paid `N×` clock work
-//! plus `N` lock acquisitions. The traits here encode the seam instead
-//! (the TSan architecture: one timestamp authority, per-location shadow
-//! state):
+//! Cloning the sync state into every shard would make each sync event
+//! pay `N×` clock work plus `N` lock acquisitions. The traits here
+//! encode the seam instead (the TSan architecture: one timestamp
+//! authority, per-location shadow state):
 //!
 //! * [`SyncEngine`] — owns every thread/lock clock once, processes
 //!   acquire/release events, and *publishes* a cheap per-thread
@@ -290,8 +289,8 @@ pub(crate) fn tally_access(event: &Event, counters: &mut Counters) {
 ///
 /// `split_sync` / `split_access` derive *fresh* halves from this
 /// detector's configuration (engine options, sampler seed); the
-/// detector itself must be in its initial state, exactly like the
-/// pristine-clone requirement of replicated sharding. All access shards
+/// detector itself must be in its initial state, or the halves would
+/// start from inconsistent views of the run. All access shards
 /// of one run must come from the same detector so their samplers agree.
 pub trait SplitDetector: Detector + Clone + Send {
     /// The sync-plane half.

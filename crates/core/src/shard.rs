@@ -1,44 +1,34 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::sync::{Mutex, MutexGuard, OnceLock, RwLock};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use freshtrack_clock::{PublishedClock, ThreadId, Time};
 use freshtrack_trace::{Event, EventId, EventKind, LockId, VarId};
 
 use crate::counters::SkipCells;
-use crate::plane::{AccessEngine, ClockView, PublishedView, SplitDetector, SyncEngine, ViewSource};
+use crate::plane::{AccessEngine, PublishedView, SplitDetector, SyncEngine, ViewSource};
 use crate::{Counters, HoistedDecider, RaceReport};
 
-/// How a [`ShardedOnlineDetector`] maintains the happens-before (sync)
-/// skeleton across its access shards.
+/// How sharded ingestion keeps the happens-before (sync) skeleton.
+///
+/// There is one construction, [`SyncMode::Seqlock`], which
+/// [`ShardedOnlineDetector`] always uses. The type survives only so
+/// the dbsim entry points `run_sharded` and
+/// `ShardedInstrument::with_options`, which benchmark code calls with
+/// an explicit mode, keep their signatures.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SyncMode {
-    /// PR 3's construction: every shard is a full detector clone; a
-    /// sync event acquires **all** shard locks (ascending order) and is
-    /// replicated into every clone, so per-sync cost is `O(N)` lock
-    /// acquisitions plus `N×` the engine's sync clock work. Kept for
-    /// differential old-vs-new pinning; scheduled for retirement.
-    Replicated,
-    /// PR 4's two-plane construction: one [`SyncEngine`] owns every
-    /// thread/lock clock behind a sync-only lock and publishes `O(1)`
-    /// per-thread clock views into per-thread mutex slots; shards hold
-    /// only [`AccessEngine`] state. Per-sync cost is flat in `N` but
-    /// pays a fixed slot-lock + refcount publication constant. Kept
-    /// selectable for differential pinning and trajectory comparison.
-    Shared,
-    /// The seqlock construction (default): the two-plane split with
-    /// publication through a
-    /// [`PublishedClock`](freshtrack_clock::PublishedClock) — the sync
-    /// event writes the thread's spliced race-check clock in place
-    /// under an even/odd version word; accesses snapshot it lock-free
-    /// and retry on torn reads. No slot lock, no refcount traffic, no
-    /// snapshot allocation per sync event.
+    /// One [`SyncEngine`] owns every thread/lock clock behind a
+    /// sync-only lock. Each sync event writes the issuing thread's
+    /// spliced race-check clock in place into a
+    /// [`PublishedClock`](freshtrack_clock::PublishedClock) under an
+    /// even/odd version word; accesses snapshot it lock-free and retry
+    /// on torn reads.
     Seqlock,
 }
 
 /// A sharded ingestion façade: per-variable access analysis across `N`
-/// independently-locked shards, with the happens-before skeleton
-/// maintained according to a [`SyncMode`].
+/// independently-locked shards around one sync plane, whose per-thread
+/// clock views are published through seqlocks.
 ///
 /// The single-mutex [`OnlineDetector`](crate::OnlineDetector)
 /// reproduces the paper's Fig. 5 contention model faithfully — every
@@ -60,12 +50,9 @@ pub enum SyncMode {
 ///   acquisition then amortizes over up to `B` events at flush time.
 /// * **Sync events** (`Acquire`/`Release`) first flush every pending
 ///   batch (a thread's buffered accesses must be analyzed against the
-///   view preceding its sync event), then go to the sync plane: under
-///   [`SyncMode::Seqlock`] (default) and [`SyncMode::Shared`] they
-///   update the single [`SyncEngine`] behind its sync-only lock and
-///   republish the issuing thread's clock view; under
-///   [`SyncMode::Replicated`] they acquire every shard lock in
-///   ascending order and update all `N` detector clones.
+///   view preceding its sync event), then update the single
+///   [`SyncEngine`] behind its sync-only lock and republish the issuing
+///   thread's clock view into its seqlock slot.
 ///
 /// # The lock-free skip path
 ///
@@ -155,18 +142,13 @@ pub enum SyncMode {
 /// A sampled-out access pays two relaxed atomic RMWs and nothing else
 /// (measured in `BENCH_access_cost.json`). A sampled access pays one
 /// `1/N`-contended shard lock (or `1/B` of one, with batching); access
-/// analysis for different shards runs in parallel. A
-/// sync event pays one sync-lock acquisition plus **one** copy of the
-/// engine's sync clock work and a publication — flat in `N` (measured
-/// in `BENCH_sync_cost.json`; the replicated mode's `N×` fan-out is
-/// kept alongside for comparison). Under the default
-/// [`SyncMode::Seqlock`] the publication is a version-word bump around
-/// `width` plain stores — no lock, no allocation, no refcount traffic —
-/// vs the `Shared` slot's mutex + `Arc` round trip. The merged
-/// [`Counters`] keep this honest: in the two-plane modes planes
-/// partition the event space so counters sum directly; in `Replicated`
-/// mode [`Counters::merge`] counts the replicated sync observations
-/// once and sums work.
+/// analysis for different shards runs in parallel. A sync event pays
+/// one sync-lock acquisition plus **one** copy of the engine's sync
+/// clock work and a publication — flat in `N` (measured in
+/// `BENCH_sync_cost.json`). The publication is a version-word bump
+/// around the changed words — no lock, no allocation, no refcount
+/// traffic. The two planes partition the event space, so the merged
+/// [`Counters`] are a plain sum and equal the monolith's exactly.
 ///
 /// # Example
 ///
@@ -192,7 +174,15 @@ pub enum SyncMode {
 /// assert_eq!(races.len(), 1); // the two writes race
 /// ```
 pub struct ShardedOnlineDetector<D: SplitDetector> {
-    inner: Inner<D>,
+    /// The sync plane: every thread/lock clock, exactly once, behind a
+    /// lock only sync events (and new-thread admission) take.
+    sync: Mutex<SyncPlane<D::Sync>>,
+    /// One seqlock publication slot per thread, in a grow-only chunked
+    /// table that is never reallocated — readers hold plain references
+    /// with no lock at all.
+    slots: SeqSlots,
+    /// The access plane: per-variable histories, sharded.
+    shards: Vec<Mutex<AccessShard<D::Access>>>,
     batch: BatchPlane,
     next_id: AtomicU64,
     /// The hoisted sampling decision (see the skip-path docs); `None`
@@ -208,48 +198,9 @@ pub struct ShardedOnlineDetector<D: SplitDetector> {
     shard_locks: AtomicU64,
 }
 
-// One `Inner` exists per detector and lives as long as it does, so the
-// size spread between variants wastes nothing; boxing the seqlock slot
-// table would put a pointer chase on every access's clock read.
-#[allow(clippy::large_enum_variant)]
-enum Inner<D: SplitDetector> {
-    Replicated(Replicated<D>),
-    Shared(TwoPlane<D>),
-    Seqlock(SeqPlane<D>),
-}
-
-// ---------------------------------------------------------------------
-// Replicated mode (PR 3's construction, kept for old-vs-new pinning).
-// ---------------------------------------------------------------------
-
-struct Replicated<D> {
-    shards: Vec<Mutex<ReplicatedShard<D>>>,
-}
-
-struct ReplicatedShard<D> {
-    detector: D,
-    reports: Vec<RaceReport>,
-}
-
-// ---------------------------------------------------------------------
-// Shared (two-plane) mode.
-// ---------------------------------------------------------------------
-
-struct TwoPlane<D: SplitDetector> {
-    /// The sync plane: every thread/lock clock, exactly once, behind a
-    /// lock only sync events (and new-thread admission) take.
-    sync: Mutex<SyncPlane<D::Sync>>,
-    /// One publication slot per thread: the clock view its accesses
-    /// read, republished by its sync events.
-    slots: RwLock<Vec<Arc<ThreadSlot<D::View>>>>,
-    /// The access plane: per-variable histories, sharded.
-    shards: Vec<Mutex<AccessShard<D::Access>>>,
-}
-
 struct SyncPlane<E> {
     engine: E,
     counters: Counters,
-    /// Seqlock-mode publication state; unused (empty) in shared mode.
     publisher: Publisher,
 }
 
@@ -257,9 +208,9 @@ struct AccessShard<A> {
     engine: A,
     counters: Counters,
     reports: Vec<RaceReport>,
-    /// Seqlock-mode scratch: the decoded snapshot one access's race
-    /// check reads through a [`PublishedView`]. Lives with the shard so
-    /// the hot path never allocates.
+    /// The decoded snapshot one access's race check reads through a
+    /// [`PublishedView`]. Lives with the shard so the hot path never
+    /// allocates.
     scratch: Vec<Time>,
 }
 
@@ -274,32 +225,9 @@ impl<A> AccessShard<A> {
     }
 }
 
-struct ThreadSlot<V> {
-    /// The thread's published clock view. Written only by the thread's
-    /// own sync events (take-before-mutate: the old view is dropped
-    /// before the sync engine mutates, so publication never forces a
-    /// lazy deep copy), read only by the same thread's accesses.
-    view: Mutex<Option<V>>,
-    /// The `RelAfter_S` bit: set by the thread's sampled accesses,
-    /// consumed (and reset) by its next release.
-    sampled: AtomicBool,
-}
-
 // ---------------------------------------------------------------------
-// Seqlock (two-plane, lock-free publication) mode.
+// Seqlock publication.
 // ---------------------------------------------------------------------
-
-struct SeqPlane<D: SplitDetector> {
-    /// The sync plane: every thread/lock clock, exactly once, behind a
-    /// lock only sync events (and new-thread admission) take.
-    sync: Mutex<SyncPlane<D::Sync>>,
-    /// One seqlock publication slot per thread, in a grow-only chunked
-    /// table that is never reallocated — readers hold plain references
-    /// with no lock at all.
-    slots: SeqSlots,
-    /// The access plane: per-variable histories, sharded.
-    shards: Vec<Mutex<AccessShard<D::Access>>>,
-}
 
 /// One thread's seqlock publication slot.
 struct SeqSlot {
@@ -307,7 +235,8 @@ struct SeqSlot {
     /// in place by the thread's own sync events (serialized under the
     /// sync lock), snapshot lock-free by the same thread's accesses.
     clock: PublishedClock,
-    /// The `RelAfter_S` bit, exactly as in [`ThreadSlot`].
+    /// The `RelAfter_S` bit: set by the thread's sampled accesses,
+    /// consumed (and reset) by its next release.
     sampled: AtomicBool,
 }
 
@@ -543,7 +472,7 @@ fn publish_image(
 }
 
 // ---------------------------------------------------------------------
-// Batched ingestion (all sync modes).
+// Batched ingestion.
 // ---------------------------------------------------------------------
 
 /// A bounded per-shard buffer of ticketed access events awaiting
@@ -562,25 +491,6 @@ struct BatchPlane {
     pending: AtomicU64,
     /// One batch per access shard (lock order: batch(k) → shard(k)).
     batches: Vec<Mutex<AccessBatch>>,
-}
-
-/// [`ViewSource`] over the shared-mode slot table: clones the published
-/// pointer-sized view out of the thread's slot mutex.
-struct SharedViews<'a, V> {
-    slots: &'a [Arc<ThreadSlot<V>>],
-}
-
-impl<V: ClockView + Clone + Send + 'static> ViewSource for SharedViews<'_, V> {
-    type View<'b>
-        = V
-    where
-        Self: 'b;
-
-    fn view(&mut self, tid: ThreadId) -> V {
-        lock(&self.slots[tid.index()].view)
-            .clone()
-            .expect("admitted threads always carry a published view")
-    }
 }
 
 /// [`ViewSource`] over the seqlock slot table: decodes the thread's
@@ -609,7 +519,6 @@ impl ViewSource for SeqViews<'_> {
 impl<D: SplitDetector> std::fmt::Debug for ShardedOnlineDetector<D> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedOnlineDetector")
-            .field("sync_mode", &self.sync_mode())
             .field("shards", &self.shard_count())
             .field("events", &self.events_processed())
             .field("hoisted", &self.decider.is_some())
@@ -622,34 +531,22 @@ fn lock<'a, T>(mutex: &'a Mutex<T>) -> MutexGuard<'a, T> {
 }
 
 impl<D: SplitDetector> ShardedOnlineDetector<D> {
-    /// Builds a sharded detector in the default [`SyncMode::Seqlock`]
-    /// construction with unbatched ingestion.
+    /// Builds a sharded detector with unbatched ingestion.
     ///
     /// `detector` must be in its initial state: it seeds the engine
-    /// configuration (and, in replicated mode, the per-shard clones);
-    /// a detector that has already processed events would give the
-    /// planes inconsistent views of the happens-before skeleton.
+    /// configuration of both planes; a detector that has already
+    /// processed events would give the planes inconsistent views of
+    /// the happens-before skeleton.
     ///
     /// # Panics
     ///
     /// Panics if `shards` is zero.
     pub fn new(detector: D, shards: usize) -> Self {
-        Self::with_mode(detector, shards, SyncMode::Seqlock)
+        Self::with_options(detector, shards, 1)
     }
 
-    /// Builds a sharded detector with an explicit [`SyncMode`] — the
-    /// non-default variants exist so old-vs-new verdicts can be pinned
-    /// differentially (`crates/core/tests/sharding.rs`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    pub fn with_mode(detector: D, shards: usize, mode: SyncMode) -> Self {
-        Self::with_options(detector, shards, mode, 1)
-    }
-
-    /// Builds a sharded detector with an explicit [`SyncMode`] and a
-    /// per-shard access-batch capacity.
+    /// Builds a sharded detector with a per-shard access-batch
+    /// capacity.
     ///
     /// `batch == 1` analyzes every access inside its own `on_event`
     /// call (and reports its verdict through the return value);
@@ -663,46 +560,19 @@ impl<D: SplitDetector> ShardedOnlineDetector<D> {
     /// # Panics
     ///
     /// Panics if `shards` or `batch` is zero.
-    pub fn with_options(detector: D, shards: usize, mode: SyncMode, batch: usize) -> Self {
+    pub fn with_options(detector: D, shards: usize, batch: usize) -> Self {
         assert!(shards > 0, "at least one shard is required");
         assert!(batch > 0, "at least a batch capacity of one is required");
-        let decider = detector.hoisted_decider();
-        let inner = match mode {
-            SyncMode::Replicated => Inner::Replicated(Replicated {
-                shards: (0..shards)
-                    .map(|_| {
-                        Mutex::new(ReplicatedShard {
-                            detector: detector.clone(),
-                            reports: Vec::new(),
-                        })
-                    })
-                    .collect(),
-            }),
-            SyncMode::Shared => Inner::Shared(TwoPlane {
-                sync: Mutex::new(SyncPlane {
-                    engine: detector.split_sync(),
-                    counters: Counters::new(),
-                    publisher: Publisher::new(),
-                }),
-                slots: RwLock::new(Vec::new()),
-                shards: (0..shards)
-                    .map(|_| Mutex::new(AccessShard::new(detector.split_access())))
-                    .collect(),
-            }),
-            SyncMode::Seqlock => Inner::Seqlock(SeqPlane {
-                sync: Mutex::new(SyncPlane {
-                    engine: detector.split_sync(),
-                    counters: Counters::new(),
-                    publisher: Publisher::new(),
-                }),
-                slots: SeqSlots::new(),
-                shards: (0..shards)
-                    .map(|_| Mutex::new(AccessShard::new(detector.split_access())))
-                    .collect(),
-            }),
-        };
         ShardedOnlineDetector {
-            inner,
+            sync: Mutex::new(SyncPlane {
+                engine: detector.split_sync(),
+                counters: Counters::new(),
+                publisher: Publisher::new(),
+            }),
+            slots: SeqSlots::new(),
+            shards: (0..shards)
+                .map(|_| Mutex::new(AccessShard::new(detector.split_access())))
+                .collect(),
             batch: BatchPlane {
                 capacity: batch,
                 pending: AtomicU64::new(0),
@@ -715,29 +585,16 @@ impl<D: SplitDetector> ShardedOnlineDetector<D> {
                     .collect(),
             },
             next_id: AtomicU64::new(0),
-            decider,
+            decider: detector.hoisted_decider(),
             skip: SkipCells::new(),
             #[cfg(debug_assertions)]
             shard_locks: AtomicU64::new(0),
         }
     }
 
-    /// The active sync-skeleton construction.
-    pub fn sync_mode(&self) -> SyncMode {
-        match &self.inner {
-            Inner::Replicated(_) => SyncMode::Replicated,
-            Inner::Shared(_) => SyncMode::Shared,
-            Inner::Seqlock(_) => SyncMode::Seqlock,
-        }
-    }
-
     /// Number of access shards.
     pub fn shard_count(&self) -> usize {
-        match &self.inner {
-            Inner::Replicated(r) => r.shards.len(),
-            Inner::Shared(p) => p.shards.len(),
-            Inner::Seqlock(p) => p.shards.len(),
-        }
+        self.shards.len()
     }
 
     /// The per-shard access-batch capacity (`1` = unbatched).
@@ -751,52 +608,23 @@ impl<D: SplitDetector> ShardedOnlineDetector<D> {
     /// workers start so the event hot path never grows a clock while a
     /// lock is held.
     pub fn reserve_threads(&self, n: usize) {
-        match &self.inner {
-            Inner::Replicated(r) => {
-                for shard in &r.shards {
-                    lock(shard).detector.reserve_threads(n);
-                }
-            }
-            Inner::Shared(p) => {
-                let mut sync = lock(&p.sync);
-                sync.engine.reserve_threads(n);
-                let mut slots = p.slots.write().expect("slot table lock poisoned");
-                for idx in 0..n {
-                    let tid = ThreadId::new(idx as u32);
-                    if let Some(slot) = slots.get(idx) {
-                        // Republish: reservation may have regrown the
-                        // clock behind an already-published view.
-                        *lock(&slot.view) = Some(sync.engine.publish(tid));
-                    } else {
-                        sync.engine.ensure_thread(tid);
-                        let view = sync.engine.publish(tid);
-                        slots.push(Arc::new(ThreadSlot {
-                            view: Mutex::new(Some(view)),
-                            sampled: AtomicBool::new(false),
-                        }));
-                    }
-                }
-            }
-            Inner::Seqlock(p) => {
-                let mut sync = lock(&p.sync);
-                let SyncPlane {
-                    engine, publisher, ..
-                } = &mut *sync;
-                engine.reserve_threads(n);
-                for idx in 0..n {
-                    let tid = ThreadId::new(idx as u32);
-                    if idx < p.slots.admitted() {
-                        // Republish: reservation may have regrown the
-                        // clock behind an already-published view.
-                        let slot = p.slots.get(idx).expect("index below admitted");
-                        publisher.publish_admission(engine, tid, &slot.clock);
-                    } else {
-                        engine.ensure_thread(tid);
-                        let slot = p.slots.slot_for_admission(idx);
-                        publisher.publish_admission(engine, tid, &slot.clock);
-                        p.slots.publish_admission(idx + 1);
-                    }
-                }
+        let mut sync = lock(&self.sync);
+        let SyncPlane {
+            engine, publisher, ..
+        } = &mut *sync;
+        engine.reserve_threads(n);
+        for idx in 0..n {
+            let tid = ThreadId::new(idx as u32);
+            if idx < self.slots.admitted() {
+                // Republish: reservation may have regrown the
+                // clock behind an already-published view.
+                let slot = self.slots.get(idx).expect("index below admitted");
+                publisher.publish_admission(engine, tid, &slot.clock);
+            } else {
+                engine.ensure_thread(tid);
+                let slot = self.slots.slot_for_admission(idx);
+                publisher.publish_admission(engine, tid, &slot.clock);
+                self.slots.publish_admission(idx + 1);
             }
         }
     }
@@ -838,7 +666,7 @@ impl<D: SplitDetector> ShardedOnlineDetector<D> {
     }
 
     /// Number of shard-lock acquisitions performed so far (access
-    /// analysis, batch flushes, and replicated-mode sync fan-out).
+    /// analysis and batch flushes).
     ///
     /// Exists so regression tests can pin the skip path lock-free — a
     /// fully sampled-out stream must never take a shard lock. Debug
@@ -848,69 +676,28 @@ impl<D: SplitDetector> ShardedOnlineDetector<D> {
         self.shard_locks.load(Ordering::Relaxed)
     }
 
-    /// Hoisted bookkeeping for an access already admitted into the
-    /// sample set: admit the thread's publication slot (first sight
-    /// only) and raise its `RelAfter_S` flag. Runs on the issuing
-    /// thread *before* any shard or batch lock, so the flag is
-    /// program-order sequenced before the thread's next release
-    /// consumes it.
-    fn note_sampled(&self, tid: ThreadId) {
-        match &self.inner {
-            // Replicated clones track `RelAfter_S` inside their own
-            // detector state when the access is processed.
-            Inner::Replicated(_) => {}
-            Inner::Shared(p) => self.slot(p, tid).sampled.store(true, Ordering::Relaxed),
-            Inner::Seqlock(p) => self.seq_slot(p, tid).sampled.store(true, Ordering::Relaxed),
-        }
-    }
-
-    /// Returns thread `tid`'s publication slot, admitting the thread to
-    /// the sync plane (initial clock state + first published view) on
-    /// first sight. Two-plane mode only.
-    fn slot(&self, plane: &TwoPlane<D>, tid: ThreadId) -> Arc<ThreadSlot<D::View>> {
-        {
-            let slots = plane.slots.read().expect("slot table lock poisoned");
-            if let Some(slot) = slots.get(tid.index()) {
-                return Arc::clone(slot);
-            }
-        }
-        // Slow path (once per thread): admit under the sync lock.
-        let mut sync = lock(&plane.sync);
-        let mut slots = plane.slots.write().expect("slot table lock poisoned");
-        while slots.len() <= tid.index() {
-            let next = ThreadId::new(slots.len() as u32);
-            sync.engine.ensure_thread(next);
-            let view = sync.engine.publish(next);
-            slots.push(Arc::new(ThreadSlot {
-                view: Mutex::new(Some(view)),
-                sampled: AtomicBool::new(false),
-            }));
-        }
-        Arc::clone(&slots[tid.index()])
-    }
-
     /// Returns thread `tid`'s seqlock publication slot, admitting the
     /// thread (initial clock state + first publication, under the sync
-    /// lock) on first sight. Seqlock mode only; the fast path is one
-    /// atomic load plus a chunk lookup — no lock of any kind.
-    fn seq_slot<'a>(&self, plane: &'a SeqPlane<D>, tid: ThreadId) -> &'a SeqSlot {
-        if let Some(slot) = plane.slots.get(tid.index()) {
+    /// lock) on first sight. The fast path is one atomic load plus a
+    /// chunk lookup — no lock of any kind.
+    fn slot(&self, tid: ThreadId) -> &SeqSlot {
+        if let Some(slot) = self.slots.get(tid.index()) {
             return slot;
         }
         // Slow path (once per thread): admit under the sync lock.
-        let mut sync = lock(&plane.sync);
-        while plane.slots.admitted() <= tid.index() {
-            let index = plane.slots.admitted();
+        let mut sync = lock(&self.sync);
+        while self.slots.admitted() <= tid.index() {
+            let index = self.slots.admitted();
             let next = ThreadId::new(index as u32);
             let SyncPlane {
                 engine, publisher, ..
             } = &mut *sync;
             engine.ensure_thread(next);
-            let slot = plane.slots.slot_for_admission(index);
+            let slot = self.slots.slot_for_admission(index);
             publisher.publish_admission(engine, next, &slot.clock);
-            plane.slots.publish_admission(index + 1);
+            self.slots.publish_admission(index + 1);
         }
-        plane.slots.get(tid.index()).expect("just admitted")
+        self.slots.get(tid.index()).expect("just admitted")
     }
 
     /// Feeds one event; returns `true` if it was reported as racing.
@@ -920,10 +707,9 @@ impl<D: SplitDetector> ShardedOnlineDetector<D> {
     /// sampled-out accesses return after a striped counter bump (the
     /// lock-free skip path); sampled ones lock one shard (or, with
     /// batching, one batch lock and only every `B`th event the shard
-    /// lock too). Sync events lock the sync plane (two-plane modes) or
-    /// all shards in ascending order (replicated mode). A sync event
-    /// never races, and a *buffered* access reports only at flush time,
-    /// so both return `false`.
+    /// lock too). Sync events lock the sync plane. A sync event never
+    /// races, and a *buffered* access reports only at flush time, so
+    /// both return `false`.
     pub fn on_event(&self, tid: u32, kind: EventKind) -> bool {
         let event = Event::new(ThreadId::new(tid), kind);
         match event.kind {
@@ -945,31 +731,25 @@ impl<D: SplitDetector> ShardedOnlineDetector<D> {
                         // accesses raise the bit in their handler, on
                         // the slot it already resolved — same thread, so
                         // still sequenced before this thread's release.
-                        self.note_sampled(event.tid);
+                        self.slot(event.tid).sampled.store(true, Ordering::Relaxed);
                         return self.buffer_access(id, event, var);
                     }
                 } else if self.batch.capacity > 1 {
                     return self.buffer_access(id, event, var);
                 }
-                match &self.inner {
-                    Inner::Replicated(r) => self.access_replicated(r, id, event, var),
-                    Inner::Shared(p) => self.access_two_plane(p, id, event, var),
-                    Inner::Seqlock(p) => self.access_seqlock(p, id, event, var),
-                }
+                self.analyze_access(id, event, var)
             }
-            EventKind::Acquire(_) | EventKind::Release(_) => {
+            EventKind::Acquire(lock_id) | EventKind::Release(lock_id) => {
                 // Flush-before-any-sync: buffered accesses must be
                 // analyzed against the pre-sync views (see the
                 // type-level batching argument).
                 if self.batch.capacity > 1 {
                     self.flush_pending();
                 }
-                let id = self.take_ticket();
-                match &self.inner {
-                    Inner::Replicated(r) => self.replicate_sync(&r.shards, id, event),
-                    Inner::Shared(p) => self.sync_two_plane(p, event),
-                    Inner::Seqlock(p) => self.sync_seqlock(p, event),
-                }
+                // The sync plane needs no id; the ticket keeps
+                // `events_processed` counting every event.
+                self.take_ticket();
+                self.apply_sync(event, lock_id);
                 false
             }
         }
@@ -984,13 +764,7 @@ impl<D: SplitDetector> ShardedOnlineDetector<D> {
         // before buffering so flushes (possibly run by other threads'
         // sync events) resolve slots on the fast path.
         if self.decider.is_none() {
-            match &self.inner {
-                Inner::Replicated(_) => {}
-                Inner::Shared(p) => drop(self.slot(p, event.tid)),
-                Inner::Seqlock(p) => {
-                    let _ = self.seq_slot(p, event.tid);
-                }
-            }
+            self.slot(event.tid);
         }
         let k = self.shard_of(var);
         let mut batch = lock(&self.batch.batches[k]);
@@ -1031,91 +805,38 @@ impl<D: SplitDetector> ShardedOnlineDetector<D> {
         if batch.events.is_empty() {
             return;
         }
-        match &self.inner {
-            Inner::Replicated(r) => {
-                let mut shard = lock(&r.shards[k]);
-                self.note_shard_lock();
-                for &(id, event) in &batch.events {
-                    // With a decider, buffered events are admitted
-                    // accesses — skip the clone's redundant re-decide.
-                    let report = if self.decider.is_some() {
-                        shard.detector.process_admitted(id, event)
-                    } else {
-                        shard.detector.process(id, event)
-                    };
-                    if let Some(report) = report {
-                        shard.reports.push(report);
-                    }
+        let mut shard = lock(&self.shards[k]);
+        self.note_shard_lock();
+        let AccessShard {
+            engine,
+            counters,
+            reports,
+            scratch,
+        } = &mut *shard;
+        counters.events += batch.events.len() as u64;
+        let mut views = SeqViews {
+            slots: &self.slots,
+            scratch,
+        };
+        if self.decider.is_some() {
+            engine.feed_batch(&batch.events, &mut views, counters, |_, outcome| {
+                if let Some(report) = outcome.report {
+                    reports.push(report);
                 }
-            }
-            Inner::Shared(p) => {
-                let slots = p.slots.read().expect("slot table lock poisoned");
-                let mut shard = lock(&p.shards[k]);
-                self.note_shard_lock();
-                let AccessShard {
-                    engine,
-                    counters,
-                    reports,
-                    ..
-                } = &mut *shard;
-                counters.events += batch.events.len() as u64;
-                let mut views = SharedViews { slots: &slots };
-                if self.decider.is_some() {
-                    engine.feed_batch(&batch.events, &mut views, counters, |_, outcome| {
-                        if let Some(report) = outcome.report {
-                            reports.push(report);
-                        }
-                    });
-                } else {
-                    for &(id, event) in &batch.events {
-                        let view = views.view(event.tid);
-                        let outcome = engine.access(id, event, &view, counters);
-                        if outcome.sampled {
-                            slots[event.tid.index()]
-                                .sampled
-                                .store(true, Ordering::Relaxed);
-                        }
-                        if let Some(report) = outcome.report {
-                            reports.push(report);
-                        }
-                    }
+            });
+        } else {
+            for &(id, event) in &batch.events {
+                let view = views.view(event.tid);
+                let outcome = engine.access(id, event, &view, counters);
+                if outcome.sampled {
+                    self.slots
+                        .get(event.tid.index())
+                        .expect("buffered accesses come from admitted threads")
+                        .sampled
+                        .store(true, Ordering::Relaxed);
                 }
-            }
-            Inner::Seqlock(p) => {
-                let mut shard = lock(&p.shards[k]);
-                self.note_shard_lock();
-                let AccessShard {
-                    engine,
-                    counters,
-                    reports,
-                    scratch,
-                } = &mut *shard;
-                counters.events += batch.events.len() as u64;
-                let mut views = SeqViews {
-                    slots: &p.slots,
-                    scratch,
-                };
-                if self.decider.is_some() {
-                    engine.feed_batch(&batch.events, &mut views, counters, |_, outcome| {
-                        if let Some(report) = outcome.report {
-                            reports.push(report);
-                        }
-                    });
-                } else {
-                    for &(id, event) in &batch.events {
-                        let view = views.view(event.tid);
-                        let outcome = engine.access(id, event, &view, counters);
-                        if outcome.sampled {
-                            p.slots
-                                .get(event.tid.index())
-                                .expect("buffered accesses come from admitted threads")
-                                .sampled
-                                .store(true, Ordering::Relaxed);
-                        }
-                        if let Some(report) = outcome.report {
-                            reports.push(report);
-                        }
-                    }
+                if let Some(report) = outcome.report {
+                    reports.push(report);
                 }
             }
         }
@@ -1125,90 +846,13 @@ impl<D: SplitDetector> ShardedOnlineDetector<D> {
         batch.events.clear();
     }
 
-    /// Analyzes one unbatched (and, with a decider, already sampled)
-    /// access in replicated mode. On the hoisted path the decision was
-    /// already computed outside the lock, so the clone takes
-    /// [`Detector::process_admitted`] and never re-derives it; the
-    /// decider-less fallback goes through `process`, which decides
-    /// inline.
-    fn access_replicated(&self, r: &Replicated<D>, id: EventId, event: Event, var: VarId) -> bool {
-        let mut shard = lock(&r.shards[self.shard_of(var)]);
-        self.note_shard_lock();
-        let report = if self.decider.is_some() {
-            shard.detector.process_admitted(id, event)
-        } else {
-            shard.detector.process(id, event)
-        };
-        if let Some(report) = report {
-            shard.reports.push(report);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Locks `shards[0]`, recurses over the rest, and — on the way back
-    /// up, with every lock still held — feeds the sync event to each
-    /// shard. Ordered all-shards acquisition: ascending index, so
-    /// concurrent sync events cannot deadlock against each other
-    /// (accesses hold at most one shard lock and never wait for a
-    /// second). The recursion keeps each guard in a stack frame with no
-    /// per-event guard collection on the heap; every clone observes the
-    /// sync event atomically (no access interleaves mid-replication).
-    fn replicate_sync(&self, shards: &[Mutex<ReplicatedShard<D>>], id: EventId, event: Event) {
-        if let Some((first, rest)) = shards.split_first() {
-            let mut guard = lock(first);
-            self.note_shard_lock();
-            self.replicate_sync(rest, id, event);
-            let report = guard.detector.process(id, event);
-            debug_assert!(report.is_none(), "sync events never race");
-        }
-    }
-
-    /// Analyzes one unbatched sampled access in shared (two-plane)
-    /// mode. With a hoisted decider the engine's own decision is
-    /// skipped ([`AccessEngine::access_sampled`]); without one the
-    /// engine decides inline and maintains `RelAfter_S` here.
-    fn access_two_plane(&self, plane: &TwoPlane<D>, id: EventId, event: Event, var: VarId) -> bool {
-        let slot = self.slot(plane, event.tid);
-        let mut shard = lock(&plane.shards[self.shard_of(var)]);
-        self.note_shard_lock();
-        let view = lock(&slot.view)
-            .clone()
-            .expect("admitted threads always carry a published view");
-        let AccessShard {
-            engine,
-            counters,
-            reports,
-            ..
-        } = &mut *shard;
-        counters.events += 1;
-        let outcome = if self.decider.is_some() {
-            // Already admitted: raise `RelAfter_S` on the slot in hand
-            // and skip the engine's redundant re-decide.
-            slot.sampled.store(true, Ordering::Relaxed);
-            engine.access_sampled(id, event, &view, counters)
-        } else {
-            let outcome = engine.access(id, event, &view, counters);
-            if outcome.sampled {
-                slot.sampled.store(true, Ordering::Relaxed);
-            }
-            outcome
-        };
-        if let Some(report) = outcome.report {
-            reports.push(report);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Analyzes one unbatched sampled access in seqlock mode; see
-    /// [`access_two_plane`](ShardedOnlineDetector::access_two_plane)
-    /// for the decider split.
-    fn access_seqlock(&self, plane: &SeqPlane<D>, id: EventId, event: Event, var: VarId) -> bool {
-        let slot = self.seq_slot(plane, event.tid);
-        let mut shard = lock(&plane.shards[self.shard_of(var)]);
+    /// Analyzes one unbatched sampled access. With a hoisted decider
+    /// the engine's own decision is skipped
+    /// ([`AccessEngine::access_sampled`]); without one the engine
+    /// decides inline and maintains `RelAfter_S` here.
+    fn analyze_access(&self, id: EventId, event: Event, var: VarId) -> bool {
+        let slot = self.slot(event.tid);
+        let mut shard = lock(&self.shards[self.shard_of(var)]);
         self.note_shard_lock();
         let AccessShard {
             engine,
@@ -1241,51 +885,12 @@ impl<D: SplitDetector> ShardedOnlineDetector<D> {
         }
     }
 
-    fn sync_two_plane(&self, plane: &TwoPlane<D>, event: Event) {
+    /// Applies one sync event on lock `lock_id` to the sync plane and
+    /// republishes the issuing thread's view.
+    fn apply_sync(&self, event: Event, lock_id: LockId) {
         let tid = event.tid;
-        let slot = self.slot(plane, tid);
-        let lock_id = match event.kind {
-            EventKind::Acquire(l) | EventKind::Release(l) => l,
-            _ => unreachable!("on_event routes only sync events here"),
-        };
-        let mut sync = lock(&plane.sync);
-        // Take-before-mutate: drop the published view so the
-        // engine's mutation stays in place instead of
-        // deep-copying. Holding the slot lock across the engine
-        // op is deadlock-free (it is a leaf lock) and blocks no
-        // one — only this thread's own accesses read its slot,
-        // and this thread is here.
-        let mut view_slot = lock(&slot.view);
-        *view_slot = None;
-        let SyncPlane {
-            engine, counters, ..
-        } = &mut *sync;
-        counters.events += 1;
-        match event.kind {
-            EventKind::Acquire(_) => engine.acquire(tid, lock_id, counters),
-            EventKind::Release(_) => {
-                // Check before consuming: the bit is set by this
-                // thread's own sampled accesses (program-order
-                // sequenced with this release), so a false load
-                // is stable and the usual unsampled release
-                // skips the read-modify-write entirely.
-                let sampled = slot.sampled.load(Ordering::Relaxed)
-                    && slot.sampled.swap(false, Ordering::Relaxed);
-                engine.release(tid, lock_id, sampled, counters);
-            }
-            _ => unreachable!("on_event routes only sync events here"),
-        }
-        *view_slot = Some(engine.publish(tid));
-    }
-
-    fn sync_seqlock(&self, plane: &SeqPlane<D>, event: Event) {
-        let tid = event.tid;
-        let slot = self.seq_slot(plane, tid);
-        let lock_id = match event.kind {
-            EventKind::Acquire(l) | EventKind::Release(l) => l,
-            _ => unreachable!("on_event routes only sync events here"),
-        };
-        let mut sync = lock(&plane.sync);
+        let slot = self.slot(tid);
+        let mut sync = lock(&self.sync);
         let SyncPlane {
             engine,
             counters,
@@ -1343,11 +948,7 @@ impl<D: SplitDetector> ShardedOnlineDetector<D> {
     /// Races reported so far, across all shards (excluding any still
     /// buffered in unflushed batches).
     pub fn race_count(&self) -> usize {
-        match &self.inner {
-            Inner::Replicated(r) => r.shards.iter().map(|s| lock(s).reports.len()).sum(),
-            Inner::Shared(p) => p.shards.iter().map(|s| lock(s).reports.len()).sum(),
-            Inner::Seqlock(p) => p.shards.iter().map(|s| lock(s).reports.len()).sum(),
-        }
+        self.shards.iter().map(|s| lock(s).reports.len()).sum()
     }
 
     /// Consumes the façade, returning the merged race reports.
@@ -1357,7 +958,7 @@ impl<D: SplitDetector> ShardedOnlineDetector<D> {
     /// [`OnlineDetector::finish`](crate::OnlineDetector::finish)
     /// guarantees, so sharded and unsharded runs over the same event
     /// stream are directly comparable (`crates/core/tests/sharding.rs`
-    /// pins this for both sync modes and `N > 1`).
+    /// pins this for `N > 1`).
     pub fn finish(self) -> Vec<RaceReport> {
         self.finish_merged().0
     }
@@ -1365,52 +966,29 @@ impl<D: SplitDetector> ShardedOnlineDetector<D> {
     /// [`finish`](ShardedOnlineDetector::finish) plus the aggregated
     /// [`Counters`].
     ///
-    /// In `Shared` mode the two planes partition the event space, so
-    /// counters sum directly (sync observations exist once by
-    /// construction). In `Replicated` mode the per-shard counters go
-    /// through [`Counters::merge`], which counts the replicated sync
-    /// observations once and sums work counters.
+    /// The sync plane and the access shards partition the event space
+    /// (each sync observation exists once, each access lives in one
+    /// shard), so the counters combine with plain `+=`.
     pub fn finish_merged(self) -> (Vec<RaceReport>, Counters) {
         // Residual batches: accesses buffered since the last sync event
         // (or over the whole run, if there was none).
         self.flush_pending();
         let (skipped_reads, skipped_writes) = self.skip.totals();
         let mut reports = Vec::new();
+        let mut counters = self
+            .sync
+            .into_inner()
+            .expect("sync plane mutex poisoned")
+            .counters;
         // Per-shard report lists are *not* ticket-sorted in general —
         // concurrent analyzed events may invert ticket order under the
         // hoisted draw (invariant 10) — so ordering is established only
         // by the merged sort below.
-        let mut counters = match self.inner {
-            Inner::Replicated(r) => {
-                let mut shard_counters = Vec::with_capacity(r.shards.len());
-                for shard in r.shards {
-                    let shard = shard.into_inner().expect("detector shard mutex poisoned");
-                    shard_counters.push(*shard.detector.counters());
-                    reports.extend(shard.reports);
-                }
-                Counters::merge(shard_counters)
-            }
-            Inner::Shared(p) => {
-                let sync = p.sync.into_inner().expect("sync plane mutex poisoned");
-                let mut counters = sync.counters;
-                for shard in p.shards {
-                    let shard = shard.into_inner().expect("detector shard mutex poisoned");
-                    counters += shard.counters;
-                    reports.extend(shard.reports);
-                }
-                counters
-            }
-            Inner::Seqlock(p) => {
-                let sync = p.sync.into_inner().expect("sync plane mutex poisoned");
-                let mut counters = sync.counters;
-                for shard in p.shards {
-                    let shard = shard.into_inner().expect("detector shard mutex poisoned");
-                    counters += shard.counters;
-                    reports.extend(shard.reports);
-                }
-                counters
-            }
-        };
+        for shard in self.shards {
+            let shard = shard.into_inner().expect("detector shard mutex poisoned");
+            counters += shard.counters;
+            reports.extend(shard.reports);
+        }
         // Skip-path tallies never entered a shard's counters: fold them
         // in once, bit-exactly, after the plane merge.
         counters.fold_skipped_accesses(skipped_reads, skipped_writes);
@@ -1430,34 +1008,25 @@ mod tests {
     use freshtrack_sampling::{AlwaysSampler, BernoulliSampler};
     use std::sync::Arc;
 
-    const ALL_MODES: [SyncMode; 3] = [SyncMode::Replicated, SyncMode::Shared, SyncMode::Seqlock];
-
     #[test]
-    fn sync_cost_is_replicated_vs_counted_once() {
+    fn sync_cost_is_counted_once() {
         // One acquire/release pair and 32 partitioned writes. In Djit+
         // every sync event performs exactly one vector-clock op, so the
-        // merged `vc_ops` pins the fan-out: N× under replication, 1×
-        // under the two-plane constructions.
-        for (mode, want_vc_ops) in [
-            (SyncMode::Replicated, 2 * 4),
-            (SyncMode::Shared, 2),
-            (SyncMode::Seqlock, 2),
-        ] {
-            let sharded =
-                ShardedOnlineDetector::with_mode(DjitDetector::new(AlwaysSampler::new()), 4, mode);
-            sharded.acquire(0, 0);
-            for v in 0..32 {
-                sharded.write(0, v);
-            }
-            sharded.release(0, 0);
-            let (reports, merged) = sharded.finish_merged();
-            assert!(reports.is_empty());
-            assert_eq!(merged.acquires, 1, "{mode:?}");
-            assert_eq!(merged.releases, 1, "{mode:?}");
-            assert_eq!(merged.writes, 32, "{mode:?}");
-            assert_eq!(merged.events, 34, "{mode:?}");
-            assert_eq!(merged.vc_ops, want_vc_ops, "{mode:?}");
+        // merged `vc_ops` pins the sync work to once per event, not once
+        // per shard.
+        let sharded = ShardedOnlineDetector::new(DjitDetector::new(AlwaysSampler::new()), 4);
+        sharded.acquire(0, 0);
+        for v in 0..32 {
+            sharded.write(0, v);
         }
+        sharded.release(0, 0);
+        let (reports, merged) = sharded.finish_merged();
+        assert!(reports.is_empty());
+        assert_eq!(merged.acquires, 1);
+        assert_eq!(merged.releases, 1);
+        assert_eq!(merged.writes, 32);
+        assert_eq!(merged.events, 34);
+        assert_eq!(merged.vc_ops, 2);
     }
 
     #[test]
@@ -1472,7 +1041,8 @@ mod tests {
 
     #[test]
     fn sequential_feed_matches_unsharded_in_all_modes() {
-        // A small lock-ladder-ish stream with genuine races.
+        // A small lock-ladder-ish stream with genuine races, fed at every
+        // shard count and batch capacity.
         let script: Vec<(u32, EventKind)> = (0..200u32)
             .map(|i| {
                 let t = i % 3;
@@ -1513,104 +1083,91 @@ mod tests {
         }
         let (baseline, baseline_reports) = unsharded.finish();
 
-        for mode in ALL_MODES {
-            for shards in [1usize, 2, 3, 5] {
-                for batch in [1usize, 4, 256] {
-                    let sharded = ShardedOnlineDetector::with_options(
-                        OrderedListDetector::new(sampler),
-                        shards,
-                        mode,
-                        batch,
-                    );
-                    for &(t, kind) in &valid {
-                        sharded.on_event(t, kind);
-                    }
-                    assert_eq!(sharded.shard_count(), shards);
-                    assert_eq!(sharded.sync_mode(), mode);
-                    assert_eq!(sharded.batch_capacity(), batch);
-                    let (reports, merged) = sharded.finish_merged();
-                    assert_eq!(
-                        reports, baseline_reports,
-                        "{mode:?} {shards} shards B={batch}"
-                    );
-                    assert_eq!(merged.events, baseline.counters().events);
-                    assert_eq!(merged.reads, baseline.counters().reads);
-                    assert_eq!(merged.writes, baseline.counters().writes);
-                    assert_eq!(
-                        merged.sampled_accesses,
-                        baseline.counters().sampled_accesses
-                    );
-                    assert_eq!(merged.acquires, baseline.counters().acquires);
-                    assert_eq!(merged.releases, baseline.counters().releases);
-                    assert_eq!(merged.races, baseline.counters().races);
+        for shards in [1usize, 2, 3, 5] {
+            for batch in [1usize, 4, 256] {
+                let sharded = ShardedOnlineDetector::with_options(
+                    OrderedListDetector::new(sampler),
+                    shards,
+                    batch,
+                );
+                for &(t, kind) in &valid {
+                    sharded.on_event(t, kind);
                 }
+                assert_eq!(sharded.shard_count(), shards);
+                assert_eq!(sharded.batch_capacity(), batch);
+                let (reports, merged) = sharded.finish_merged();
+                assert_eq!(reports, baseline_reports, "{shards} shards B={batch}");
+                assert_eq!(merged.events, baseline.counters().events);
+                assert_eq!(merged.reads, baseline.counters().reads);
+                assert_eq!(merged.writes, baseline.counters().writes);
+                assert_eq!(
+                    merged.sampled_accesses,
+                    baseline.counters().sampled_accesses
+                );
+                assert_eq!(merged.acquires, baseline.counters().acquires);
+                assert_eq!(merged.releases, baseline.counters().releases);
+                assert_eq!(merged.races, baseline.counters().races);
             }
         }
     }
 
     #[test]
     fn concurrent_ingestion_obeys_locking_discipline() {
-        for mode in ALL_MODES {
-            let sharded = Arc::new(ShardedOnlineDetector::with_mode(
-                OrderedListDetector::new(AlwaysSampler::new()),
-                4,
-                mode,
-            ));
-            sharded.reserve_threads(4);
-            let app_lock = Arc::new(std::sync::Mutex::new(()));
-            let handles: Vec<_> = (0..4u32)
-                .map(|t| {
-                    let sharded = Arc::clone(&sharded);
-                    let app_lock = Arc::clone(&app_lock);
-                    std::thread::spawn(move || {
-                        for i in 0..100u32 {
-                            let guard = app_lock.lock().unwrap();
-                            sharded.acquire(t, 0);
-                            sharded.write(t, i % 13);
-                            sharded.release(t, 0);
-                            drop(guard);
-                        }
-                    })
+        let sharded = Arc::new(ShardedOnlineDetector::new(
+            OrderedListDetector::new(AlwaysSampler::new()),
+            4,
+        ));
+        sharded.reserve_threads(4);
+        let app_lock = Arc::new(std::sync::Mutex::new(()));
+        let handles: Vec<_> = (0..4u32)
+            .map(|t| {
+                let sharded = Arc::clone(&sharded);
+                let app_lock = Arc::clone(&app_lock);
+                std::thread::spawn(move || {
+                    for i in 0..100u32 {
+                        let guard = app_lock.lock().unwrap();
+                        sharded.acquire(t, 0);
+                        sharded.write(t, i % 13);
+                        sharded.release(t, 0);
+                        drop(guard);
+                    }
                 })
-                .collect();
-            for h in handles {
-                h.join().unwrap();
-            }
-            assert_eq!(sharded.events_processed(), 4 * 100 * 3);
-            let (reports, merged) = Arc::try_unwrap(sharded).ok().unwrap().finish_merged();
-            // All accesses are lock-protected: no races, on any shard.
-            assert!(reports.is_empty(), "{mode:?}: {reports:?}");
-            assert_eq!(merged.events, 1200);
-            assert_eq!(merged.acquires, 400);
-            assert_eq!(merged.releases, 400);
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
         }
+        assert_eq!(sharded.events_processed(), 4 * 100 * 3);
+        let (reports, merged) = Arc::try_unwrap(sharded).ok().unwrap().finish_merged();
+        // All accesses are lock-protected: no races, on any shard.
+        assert!(reports.is_empty(), "{reports:?}");
+        assert_eq!(merged.events, 1200);
+        assert_eq!(merged.acquires, 400);
+        assert_eq!(merged.releases, 400);
     }
 
     #[test]
     fn concurrent_races_are_found_and_sorted() {
-        for mode in ALL_MODES {
-            let sharded = Arc::new(ShardedOnlineDetector::with_mode(
-                DjitDetector::new(AlwaysSampler::new()),
-                3,
-                mode,
-            ));
-            let handles: Vec<_> = (0..4u32)
-                .map(|t| {
-                    let sharded = Arc::clone(&sharded);
-                    std::thread::spawn(move || {
-                        for v in 0..8u32 {
-                            sharded.write(t, v);
-                        }
-                    })
+        let sharded = Arc::new(ShardedOnlineDetector::new(
+            DjitDetector::new(AlwaysSampler::new()),
+            3,
+        ));
+        let handles: Vec<_> = (0..4u32)
+            .map(|t| {
+                let sharded = Arc::clone(&sharded);
+                std::thread::spawn(move || {
+                    for v in 0..8u32 {
+                        sharded.write(t, v);
+                    }
                 })
-                .collect();
-            for h in handles {
-                h.join().unwrap();
-            }
-            assert!(sharded.race_count() > 0);
-            let reports = Arc::try_unwrap(sharded).ok().unwrap().finish();
-            assert!(reports.windows(2).all(|w| w[0].event < w[1].event));
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
         }
+        assert!(sharded.race_count() > 0);
+        let reports = Arc::try_unwrap(sharded).ok().unwrap().finish();
+        assert!(reports.windows(2).all(|w| w[0].event < w[1].event));
     }
 
     #[test]
@@ -1635,97 +1192,77 @@ mod tests {
     #[test]
     #[should_panic(expected = "batch capacity")]
     fn zero_batch_is_rejected() {
-        let _ = ShardedOnlineDetector::with_options(
-            DjitDetector::new(AlwaysSampler::new()),
-            2,
-            SyncMode::Seqlock,
-            0,
-        );
+        let _ = ShardedOnlineDetector::with_options(DjitDetector::new(AlwaysSampler::new()), 2, 0);
     }
 
     #[test]
     fn buffered_accesses_report_at_flush_not_inline() {
-        for mode in ALL_MODES {
-            // Batch capacity larger than the stream: nothing flushes
-            // until finish, so the racing write returns false inline
-            // but the merged report list still contains it.
-            let sharded = ShardedOnlineDetector::with_options(
-                DjitDetector::new(AlwaysSampler::new()),
-                2,
-                mode,
-                64,
-            );
-            assert!(!sharded.write(0, 9));
-            assert!(!sharded.write(5, 9), "buffered access reports at flush");
-            assert_eq!(sharded.race_count(), 0, "{mode:?}: still buffered");
-            let (reports, merged) = sharded.finish_merged();
-            assert_eq!(reports.len(), 1, "{mode:?}");
-            assert_eq!(merged.writes, 2, "{mode:?}");
-        }
+        // Batch capacity larger than the stream: nothing flushes
+        // until finish, so the racing write returns false inline
+        // but the merged report list still contains it.
+        let sharded =
+            ShardedOnlineDetector::with_options(DjitDetector::new(AlwaysSampler::new()), 2, 64);
+        assert!(!sharded.write(0, 9));
+        assert!(!sharded.write(5, 9), "buffered access reports at flush");
+        assert_eq!(sharded.race_count(), 0, "still buffered");
+        let (reports, merged) = sharded.finish_merged();
+        assert_eq!(reports.len(), 1);
+        assert_eq!(merged.writes, 2);
     }
 
     #[test]
     fn full_batch_flushes_inline_and_sync_flushes_residuals() {
-        for mode in ALL_MODES {
-            // One shard so the batch fills deterministically at B=2.
-            let sharded = ShardedOnlineDetector::with_options(
-                DjitDetector::new(AlwaysSampler::new()),
-                1,
-                mode,
-                2,
-            );
-            assert!(!sharded.write(0, 1));
-            // Second buffered access fills the batch: the racing pair
-            // is analyzed inside this call (though reported via the
-            // shard, not the return value).
-            assert!(!sharded.write(5, 1));
-            assert_eq!(sharded.race_count(), 1, "{mode:?}: batch flushed at B");
-            assert!(!sharded.write(6, 1));
-            // A sync event flushes the half-full batch first.
-            sharded.acquire(6, 0);
-            assert_eq!(sharded.race_count(), 2, "{mode:?}: sync flushed residual");
-            sharded.release(6, 0);
-            let (reports, _) = sharded.finish_merged();
-            assert_eq!(reports.len(), 2, "{mode:?}");
-        }
+        // One shard so the batch fills deterministically at B=2.
+        let sharded =
+            ShardedOnlineDetector::with_options(DjitDetector::new(AlwaysSampler::new()), 1, 2);
+        assert!(!sharded.write(0, 1));
+        // Second buffered access fills the batch: the racing pair
+        // is analyzed inside this call (though reported via the
+        // shard, not the return value).
+        assert!(!sharded.write(5, 1));
+        assert_eq!(sharded.race_count(), 1, "batch flushed at B");
+        assert!(!sharded.write(6, 1));
+        // A sync event flushes the half-full batch first.
+        sharded.acquire(6, 0);
+        assert_eq!(sharded.race_count(), 2, "sync flushed residual");
+        sharded.release(6, 0);
+        let (reports, _) = sharded.finish_merged();
+        assert_eq!(reports.len(), 2);
     }
 
     #[test]
     fn concurrent_batched_ingestion_matches_event_count() {
-        for mode in ALL_MODES {
-            let sharded = Arc::new(ShardedOnlineDetector::with_options(
-                OrderedListDetector::new(AlwaysSampler::new()),
-                4,
-                mode,
-                8,
-            ));
-            sharded.reserve_threads(4);
-            let app_lock = Arc::new(std::sync::Mutex::new(()));
-            let handles: Vec<_> = (0..4u32)
-                .map(|t| {
-                    let sharded = Arc::clone(&sharded);
-                    let app_lock = Arc::clone(&app_lock);
-                    std::thread::spawn(move || {
-                        for i in 0..100u32 {
-                            let guard = app_lock.lock().unwrap();
-                            sharded.acquire(t, 0);
-                            sharded.write(t, i % 13);
-                            sharded.release(t, 0);
-                            drop(guard);
-                        }
-                    })
+        let sharded = Arc::new(ShardedOnlineDetector::with_options(
+            OrderedListDetector::new(AlwaysSampler::new()),
+            4,
+            8,
+        ));
+        sharded.reserve_threads(4);
+        let app_lock = Arc::new(std::sync::Mutex::new(()));
+        let handles: Vec<_> = (0..4u32)
+            .map(|t| {
+                let sharded = Arc::clone(&sharded);
+                let app_lock = Arc::clone(&app_lock);
+                std::thread::spawn(move || {
+                    for i in 0..100u32 {
+                        let guard = app_lock.lock().unwrap();
+                        sharded.acquire(t, 0);
+                        sharded.write(t, i % 13);
+                        sharded.release(t, 0);
+                        drop(guard);
+                    }
                 })
-                .collect();
-            for h in handles {
-                h.join().unwrap();
-            }
-            assert_eq!(sharded.events_processed(), 4 * 100 * 3);
-            let (reports, merged) = Arc::try_unwrap(sharded).ok().unwrap().finish_merged();
-            // All accesses are lock-protected: no races, on any shard.
-            assert!(reports.is_empty(), "{mode:?}: {reports:?}");
-            assert_eq!(merged.events, 1200);
-            assert_eq!(merged.acquires, 400);
-            assert_eq!(merged.releases, 400);
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
         }
+        assert_eq!(sharded.events_processed(), 4 * 100 * 3);
+        let (reports, merged) = Arc::try_unwrap(sharded).ok().unwrap().finish_merged();
+        // All accesses are lock-protected: no races, on any shard.
+        assert!(reports.is_empty(), "{reports:?}");
+        assert_eq!(merged.events, 1200);
+        assert_eq!(merged.acquires, 400);
+        assert_eq!(merged.releases, 400);
     }
 }

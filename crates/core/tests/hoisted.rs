@@ -13,9 +13,6 @@
 //! Coverage: all five engines × sampler families {always, never,
 //! Bernoulli, periodic, targeted} × batch capacities {1, 8} × shard
 //! counts {1, 2, 4, 7}, over fuzzed (proptest) and structured traces.
-//! Replicated mode is exempt from the work-counter comparison by
-//! design (its sync fan-out multiplies clock work `N×`); the two-plane
-//! modes are held to full equality.
 //!
 //! Two regressions ride along:
 //! * a fully sampled-out stream must acquire **zero** shard locks
@@ -28,7 +25,7 @@ use std::sync::Arc;
 
 use freshtrack_core::{
     Counters, Detector, DjitDetector, FastTrackDetector, FreshnessDetector, NaiveSamplingDetector,
-    OnlineDetector, OrderedListDetector, ShardedOnlineDetector, SplitDetector, SyncMode,
+    OnlineDetector, OrderedListDetector, ShardedOnlineDetector, SplitDetector,
 };
 use freshtrack_sampling::{
     AlwaysSampler, BernoulliSampler, NeverSampler, PeriodicSampler, Sampler, TargetedSampler,
@@ -56,7 +53,7 @@ fn run_online<D: Detector>(
 }
 
 /// The inline baseline plus full-equality checks against the
-/// single-mutex façade and every two-plane sharded configuration.
+/// single-mutex façade and every sharded configuration.
 fn assert_hoisted_matches_inline<D: SplitDetector>(label: &str, trace: &Trace, detector: D) {
     let mut inline = detector.clone();
     let expected_reports = inline.run(trace);
@@ -68,68 +65,24 @@ fn assert_hoisted_matches_inline<D: SplitDetector>(label: &str, trace: &Trace, d
     assert_eq!(reports, expected_reports, "[{label}] online reports");
     assert_eq!(counters, expected, "[{label}] online counters");
 
-    // Sharded two-plane modes: full equality as well — the sync plane
-    // performs the monolith's clock ops exactly once and the access
-    // planes partition the per-variable work.
+    // Sharded: full equality as well — the sync plane performs the
+    // monolith's clock ops exactly once and the access planes
+    // partition the per-variable work.
     for &shards in &SHARD_COUNTS {
-        for mode in [SyncMode::Shared, SyncMode::Seqlock] {
-            for &batch in &BATCH_SIZES {
-                let sharded =
-                    ShardedOnlineDetector::with_options(detector.clone(), shards, mode, batch);
-                for (_, event) in trace.iter() {
-                    sharded.on_event(event.tid.as_u32(), event.kind);
-                }
-                let (reports, merged) = sharded.finish_merged();
-                assert_eq!(
-                    reports, expected_reports,
-                    "[{label}] sharded({shards}, {mode:?}, B={batch}) reports"
-                );
-                assert_eq!(
-                    merged, expected,
-                    "[{label}] sharded({shards}, {mode:?}, B={batch}) counters"
-                );
-            }
-        }
-        // Replicated mode: observation counters only (sync work fans
-        // out N×, which Counters::merge keeps honest by summing).
         for &batch in &BATCH_SIZES {
-            let sharded = ShardedOnlineDetector::with_options(
-                detector.clone(),
-                shards,
-                SyncMode::Replicated,
-                batch,
-            );
+            let sharded = ShardedOnlineDetector::with_options(detector.clone(), shards, batch);
             for (_, event) in trace.iter() {
                 sharded.on_event(event.tid.as_u32(), event.kind);
             }
             let (reports, merged) = sharded.finish_merged();
             assert_eq!(
                 reports, expected_reports,
-                "[{label}] replicated({shards}, B={batch}) reports"
+                "[{label}] sharded({shards}, B={batch}) reports"
             );
-            for (field, got, want) in [
-                ("events", merged.events, expected.events),
-                ("reads", merged.reads, expected.reads),
-                ("writes", merged.writes, expected.writes),
-                (
-                    "sampled_accesses",
-                    merged.sampled_accesses,
-                    expected.sampled_accesses,
-                ),
-                (
-                    "skipped_accesses",
-                    merged.skipped_accesses(),
-                    expected.skipped_accesses(),
-                ),
-                ("acquires", merged.acquires, expected.acquires),
-                ("releases", merged.releases, expected.releases),
-                ("races", merged.races, expected.races),
-            ] {
-                assert_eq!(
-                    got, want,
-                    "[{label}] replicated({shards}, B={batch}) counter `{field}`"
-                );
-            }
+            assert_eq!(
+                merged, expected,
+                "[{label}] sharded({shards}, B={batch}) counters"
+            );
         }
     }
 }
@@ -215,32 +168,26 @@ proptest! {
 #[cfg(debug_assertions)]
 #[test]
 fn never_sampler_takes_zero_shard_locks() {
-    for mode in [SyncMode::Shared, SyncMode::Seqlock] {
-        for &batch in &BATCH_SIZES {
-            let sharded = ShardedOnlineDetector::with_options(
-                DjitDetector::new(NeverSampler::new()),
-                4,
-                mode,
-                batch,
-            );
-            for i in 0..200u32 {
-                let t = i % 3;
-                sharded.acquire(t, 0);
-                sharded.write(t, i % 17);
-                sharded.read(t, (i + 1) % 17);
-                sharded.release(t, 0);
-            }
-            assert_eq!(
-                sharded.debug_shard_lock_acquisitions(),
-                0,
-                "{mode:?} B={batch}: sampled-out accesses must stay lock-free"
-            );
-            let (reports, merged) = sharded.finish_merged();
-            assert!(reports.is_empty());
-            assert_eq!(merged.events, 800);
-            assert_eq!(merged.skipped_accesses(), 400);
-            assert_eq!(merged.sampled_accesses, 0);
+    for &batch in &BATCH_SIZES {
+        let sharded =
+            ShardedOnlineDetector::with_options(DjitDetector::new(NeverSampler::new()), 4, batch);
+        for i in 0..200u32 {
+            let t = i % 3;
+            sharded.acquire(t, 0);
+            sharded.write(t, i % 17);
+            sharded.read(t, (i + 1) % 17);
+            sharded.release(t, 0);
         }
+        assert_eq!(
+            sharded.debug_shard_lock_acquisitions(),
+            0,
+            "B={batch}: sampled-out accesses must stay lock-free"
+        );
+        let (reports, merged) = sharded.finish_merged();
+        assert!(reports.is_empty());
+        assert_eq!(merged.events, 800);
+        assert_eq!(merged.skipped_accesses(), 400);
+        assert_eq!(merged.sampled_accesses, 0);
     }
 }
 
@@ -249,11 +196,7 @@ fn never_sampler_takes_zero_shard_locks() {
 #[cfg(debug_assertions)]
 #[test]
 fn always_sampler_accounts_for_its_shard_locks() {
-    let sharded = ShardedOnlineDetector::with_mode(
-        DjitDetector::new(AlwaysSampler::new()),
-        2,
-        SyncMode::Seqlock,
-    );
+    let sharded = ShardedOnlineDetector::new(DjitDetector::new(AlwaysSampler::new()), 2);
     for v in 0..10 {
         sharded.write(0, v);
     }
@@ -271,53 +214,50 @@ fn always_sampler_accounts_for_its_shard_locks() {
 fn concurrent_ticket_draws_lose_nothing() {
     const THREADS: u32 = 4;
     const OPS: u32 = 2000;
-    for mode in [SyncMode::Shared, SyncMode::Seqlock, SyncMode::Replicated] {
-        for &batch in &BATCH_SIZES {
-            let sharded = Arc::new(ShardedOnlineDetector::with_options(
-                DjitDetector::new(BernoulliSampler::new(0.05, 42)),
-                4,
-                mode,
-                batch,
-            ));
-            sharded.reserve_threads(THREADS as usize);
-            let handles: Vec<_> = (0..THREADS)
-                .map(|t| {
-                    let sharded = Arc::clone(&sharded);
-                    std::thread::spawn(move || {
-                        for i in 0..OPS {
-                            if i % 64 == 63 {
-                                sharded.acquire(t, t);
-                                sharded.release(t, t);
-                            } else if i % 2 == 0 {
-                                sharded.write(t, i % 31);
-                            } else {
-                                sharded.read(t, i % 31);
-                            }
+    for &batch in &BATCH_SIZES {
+        let sharded = Arc::new(ShardedOnlineDetector::with_options(
+            DjitDetector::new(BernoulliSampler::new(0.05, 42)),
+            4,
+            batch,
+        ));
+        sharded.reserve_threads(THREADS as usize);
+        let handles: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let sharded = Arc::clone(&sharded);
+                std::thread::spawn(move || {
+                    for i in 0..OPS {
+                        if i % 64 == 63 {
+                            sharded.acquire(t, t);
+                            sharded.release(t, t);
+                        } else if i % 2 == 0 {
+                            sharded.write(t, i % 31);
+                        } else {
+                            sharded.read(t, i % 31);
                         }
-                    })
+                    }
                 })
-                .collect();
-            for h in handles {
-                h.join().unwrap();
-            }
-            // Each sync iteration issues two events (acquire+release),
-            // each access iteration one.
-            let sync_events = u64::from(THREADS) * 2 * u64::from(OPS / 64);
-            let accesses = u64::from(THREADS) * u64::from(OPS - OPS / 64);
-            let total = accesses + sync_events;
-            assert_eq!(sharded.events_processed(), total, "{mode:?} B={batch}");
-            let (reports, merged) = Arc::try_unwrap(sharded).ok().unwrap().finish_merged();
-            assert_eq!(merged.events, total, "{mode:?} B={batch}");
-            assert_eq!(
-                merged.sampled_accesses + merged.skipped_accesses(),
-                accesses,
-                "{mode:?} B={batch}: every access is either analyzed or tallied"
-            );
-            assert_eq!(merged.reads + merged.writes, accesses);
-            assert!(
-                reports.windows(2).all(|w| w[0].event < w[1].event),
-                "{mode:?} B={batch}: merged reports must be strictly sorted"
-            );
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
         }
+        // Each sync iteration issues two events (acquire+release),
+        // each access iteration one.
+        let sync_events = u64::from(THREADS) * 2 * u64::from(OPS / 64);
+        let accesses = u64::from(THREADS) * u64::from(OPS - OPS / 64);
+        let total = accesses + sync_events;
+        assert_eq!(sharded.events_processed(), total, "B={batch}");
+        let (reports, merged) = Arc::try_unwrap(sharded).ok().unwrap().finish_merged();
+        assert_eq!(merged.events, total, "B={batch}");
+        assert_eq!(
+            merged.sampled_accesses + merged.skipped_accesses(),
+            accesses,
+            "B={batch}: every access is either analyzed or tallied"
+        );
+        assert_eq!(merged.reads + merged.writes, accesses);
+        assert!(
+            reports.windows(2).all(|w| w[0].event < w[1].event),
+            "B={batch}: merged reports must be strictly sorted"
+        );
     }
 }

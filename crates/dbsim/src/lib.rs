@@ -14,10 +14,8 @@
 //!   the emitted event stream always satisfies the locking discipline.
 //!   Two detector-backed implementations exist: [`DetectorInstrument`]
 //!   (the paper-faithful single analysis mutex) and
-//!   [`ShardedInstrument`] (per-variable access shards around a shared
-//!   sync plane — same verdicts, higher throughput; the legacy
-//!   replicated skeleton stays selectable per
-//!   [`SyncMode`](freshtrack_core::SyncMode)).
+//!   [`ShardedInstrument`] (per-variable access shards around one
+//!   seqlock-published sync plane — same verdicts, higher throughput).
 //! * [`run_benchmark`] — a worker pool executing a
 //!   [`DbWorkload`](freshtrack_workloads::DbWorkload) mix, measuring
 //!   per-transaction latency, exactly the metric of the paper's Fig. 5;

@@ -29,10 +29,9 @@
 //!   stays affordable.
 //! * [`run_sharded_trace`] / [`run_sharded_trace_batched`] /
 //!   [`assert_shard_equivalence`] — sharded ingestion
-//!   ([`ShardedOnlineDetector`], in every [`SyncMode`], batched or
-//!   not) vs the single-mutex path: identical reports, matching
-//!   per-kind counters, for any shard count. Used by
-//!   `crates/core/tests/sharding.rs`.
+//!   ([`ShardedOnlineDetector`], batched or not) vs the single-mutex
+//!   path: identical reports and counters, for any shard count. Used
+//!   by `crates/core/tests/sharding.rs`.
 //! * [`trace_from_fuel`] — the shared fuzz-trace interpreter: raw
 //!   `(thread, action, operand)` fuel into a trace obeying the locking
 //!   discipline (used by the proptest suites).
@@ -43,7 +42,7 @@
 use freshtrack_core::{
     Counters, Detector, DjitDetector, FastTrackDetector, FreshnessDetector, HbOracle,
     NaiveSamplingDetector, OracleConfig, OracleOutcome, OrderedListDetector, RaceReport,
-    ShardedOnlineDetector, SplitDetector, StreamingOracle, SyncMode,
+    ShardedOnlineDetector, SplitDetector, StreamingOracle,
 };
 use freshtrack_sampling::Sampler;
 use freshtrack_trace::{Trace, TraceBuilder, VarId};
@@ -343,7 +342,7 @@ pub fn trace_from_fuel(fuel: &[(u8, u8, u8)], threads: u8, locks: u8, vars: u8) 
 }
 
 /// Feeds `trace` event by event through a [`ShardedOnlineDetector`]
-/// built from `detector` in the given [`SyncMode`], returning the
+/// built from `detector`, returning the
 /// merged (EventId-sorted) reports and the aggregated counters.
 ///
 /// The sequential feed assigns ticket ids in trace order, so the
@@ -353,9 +352,8 @@ pub fn run_sharded_trace<D: SplitDetector>(
     trace: &Trace,
     detector: D,
     shards: usize,
-    mode: SyncMode,
 ) -> (Vec<RaceReport>, Counters) {
-    run_sharded_trace_batched(trace, detector, shards, mode, 1)
+    run_sharded_trace_batched(trace, detector, shards, 1)
 }
 
 /// [`run_sharded_trace`] with an explicit per-shard access-batch
@@ -366,10 +364,9 @@ pub fn run_sharded_trace_batched<D: SplitDetector>(
     trace: &Trace,
     detector: D,
     shards: usize,
-    mode: SyncMode,
     batch: usize,
 ) -> (Vec<RaceReport>, Counters) {
-    let sharded = ShardedOnlineDetector::with_options(detector, shards, mode, batch);
+    let sharded = ShardedOnlineDetector::with_options(detector, shards, batch);
     for (_, event) in trace.iter() {
         sharded.on_event(event.tid.as_u32(), event.kind);
     }
@@ -377,17 +374,12 @@ pub fn run_sharded_trace_batched<D: SplitDetector>(
 }
 
 /// Asserts that sharded ingestion is verdict-preserving for one
-/// `(trace, detector)` pair, in **every** sync-skeleton construction:
-/// for every shard count in `shard_counts` and every [`SyncMode`]
-/// (replicated, mutex-slot two-plane, and seqlock), the sharded run reports
-/// exactly the single-mutex path's races (same order — all are
-/// EventId-sorted) and its merged counters agree on every **per-kind**
-/// field (`events`, `reads`, `writes`, `sampled_accesses`, `acquires`,
-/// `releases`, `races`). Running both modes against one baseline also
-/// pins old-vs-new equivalence transitively. Work counters are exempt
-/// by design: replication multiplies sync-side clock work `N×`, the
-/// two-plane construction does not (see [`Counters::merge`] and the
-/// `sync_cost` bench).
+/// `(trace, detector)` pair: for every shard count in `shard_counts`,
+/// the sharded run reports exactly the single-mutex path's races (same
+/// order — both are EventId-sorted) and its merged counters equal the
+/// monolith's in every field. The sync plane performs the monolith's
+/// clock work exactly once and the access shards partition the
+/// per-variable work, so no field is exempt.
 ///
 /// Returns the common report list.
 pub fn assert_shard_equivalence<D: SplitDetector>(
@@ -400,31 +392,15 @@ pub fn assert_shard_equivalence<D: SplitDetector>(
     let baseline_reports = baseline.run(trace);
     let expected = *baseline.counters();
     for &shards in shard_counts {
-        for mode in [SyncMode::Replicated, SyncMode::Shared, SyncMode::Seqlock] {
-            let (reports, merged) = run_sharded_trace(trace, detector.clone(), shards, mode);
-            assert_eq!(
-                reports, baseline_reports,
-                "[{label}] sharded({shards}, {mode:?}) vs single-mutex reports"
-            );
-            for (field, got, want) in [
-                ("events", merged.events, expected.events),
-                ("reads", merged.reads, expected.reads),
-                ("writes", merged.writes, expected.writes),
-                (
-                    "sampled_accesses",
-                    merged.sampled_accesses,
-                    expected.sampled_accesses,
-                ),
-                ("acquires", merged.acquires, expected.acquires),
-                ("releases", merged.releases, expected.releases),
-                ("races", merged.races, expected.races),
-            ] {
-                assert_eq!(
-                    got, want,
-                    "[{label}] sharded({shards}, {mode:?}) merged counter `{field}`"
-                );
-            }
-        }
+        let (reports, merged) = run_sharded_trace(trace, detector.clone(), shards);
+        assert_eq!(
+            reports, baseline_reports,
+            "[{label}] sharded({shards}) vs single-mutex reports"
+        );
+        assert_eq!(
+            merged, expected,
+            "[{label}] sharded({shards}) vs single-mutex counters"
+        );
     }
     baseline_reports
 }
