@@ -9,8 +9,9 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
 use freshtrack_trace::{
-    read_trace, read_trace_binary, write_trace, write_trace_binary, BinaryEventReader, EventReader,
-    EventSource,
+    decode_segment, read_trace, read_trace_binary, write_trace, write_trace_binary,
+    write_trace_binary_v2, BinaryEventReader, EventReader, EventSource, SegmentOptions,
+    SegmentedTraceFile,
 };
 use freshtrack_workloads::corpus;
 
@@ -21,6 +22,17 @@ fn bench_trace_io(c: &mut Criterion) {
     let text = write_trace(&trace);
     let mut binary = Vec::new();
     write_trace_binary(&trace, &mut binary).expect("in-memory write");
+    let mut v2 = Vec::new();
+    write_trace_binary_v2(&trace, &mut v2, &SegmentOptions::default()).expect("in-memory write");
+    let mut file = SegmentedTraceFile::open(std::io::Cursor::new(&v2)).expect("valid v2");
+    let segments: Vec<_> = (0..file.segment_count())
+        .map(|k| {
+            (
+                file.meta(k).clone(),
+                file.read_segment_bytes(k).expect("in range"),
+            )
+        })
+        .collect();
 
     let mut g = c.benchmark_group("trace_io");
     g.throughput(Throughput::Elements(trace.len() as u64));
@@ -53,6 +65,20 @@ fn bench_trace_io(c: &mut Criterion) {
                 n += 1;
             }
             n
+        })
+    });
+    // The segment decoder the `--jobs` reader thread runs: every
+    // segment of the v2 encoding, checksum included.
+    g.bench_function("binary_segments", |b| {
+        b.iter(|| {
+            segments
+                .iter()
+                .map(|(meta, bytes)| {
+                    black_box(decode_segment(bytes, meta).expect("well-formed"))
+                        .events
+                        .len()
+                })
+                .sum::<usize>()
         })
     });
     g.bench_function("text_write", |b| b.iter(|| black_box(write_trace(&trace))));

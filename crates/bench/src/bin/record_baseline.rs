@@ -43,8 +43,9 @@
 //! ```
 //!
 //! A fourth mode, `--trace-io`, measures **trace codec throughput**:
-//! text vs binary (`.ftb`) parse/decode/write rates (events/s) and
-//! file sizes over a corpus trace, both formats in one invocation
+//! text vs binary (`.ftb`) parse/decode/write rates (events/s), the
+//! `.ftb` v2 segment decoder, and file sizes over a corpus trace, both
+//! formats in one invocation
 //! (interleaved best-of-rounds — one sitting by construction):
 //!
 //! ```text
@@ -717,13 +718,17 @@ fn run_sync_cost(out_path: Option<String>) {
     }
 }
 
-/// The `--trace-io` mode: text vs binary codec throughput (events/s)
-/// and file size over a corpus trace. Both formats are measured in
+/// The `--trace-io` mode: text vs binary codec throughput (events/s),
+/// the v2 segment decoder's throughput, and file size over a corpus
+/// trace. Both formats are measured in
 /// interleaved rounds (each point keeps its fastest round) in one
 /// invocation, so the comparison comes from one sitting by
 /// construction. `FT_TRACE_BENCH`/`FT_TRACE_SCALE` pick the corpus
 /// trace; `FT_ROUNDS` the round count.
 fn run_trace_io(out_path: Option<String>) {
+    use freshtrack_trace::{
+        decode_segment, write_trace_binary_v2, SegmentOptions, SegmentedTraceFile,
+    };
     let bench_name = std::env::var("FT_TRACE_BENCH").unwrap_or_else(|_| "derby".to_owned());
     let scale = std::env::var("FT_TRACE_SCALE")
         .ok()
@@ -737,6 +742,17 @@ fn run_trace_io(out_path: Option<String>) {
     let text = write_trace(&trace);
     let mut binary = Vec::new();
     write_trace_binary(&trace, &mut binary).expect("in-memory write");
+    let mut v2 = Vec::new();
+    write_trace_binary_v2(&trace, &mut v2, &SegmentOptions::default()).expect("in-memory write");
+    let mut file = SegmentedTraceFile::open(std::io::Cursor::new(&v2)).expect("valid v2");
+    let segments: Vec<_> = (0..file.segment_count())
+        .map(|k| {
+            (
+                file.meta(k).clone(),
+                file.read_segment_bytes(k).expect("in range"),
+            )
+        })
+        .collect();
 
     // (name, op) pairs; each op runs one full pass and returns the
     // event count it touched (drives the events/s denominator and
@@ -776,6 +792,19 @@ fn run_trace_io(out_path: Option<String>) {
             }),
         ),
         (
+            "binary_segments",
+            Box::new(|| {
+                segments
+                    .iter()
+                    .map(|(meta, bytes)| {
+                        black_box(decode_segment(bytes, meta).expect("well-formed"))
+                            .events
+                            .len()
+                    })
+                    .sum()
+            }),
+        ),
+        (
             "text_write",
             Box::new(|| black_box(write_trace(&trace)).len() / 12),
         ),
@@ -812,7 +841,7 @@ fn run_trace_io(out_path: Option<String>) {
     }
 
     let json = format!(
-        "{{\n  \"schema\": \"freshtrack/trace-io/v1\",\n  \"benchmark\": \"trace_io\",\n  \
+        "{{\n  \"schema\": \"freshtrack/trace-io/v2\",\n  \"benchmark\": \"trace_io\",\n  \
          \"trace\": {{\"corpus\": \"{}\", \"scale\": {scale}, \"seed\": 0, \"events\": {}, \
          \"threads\": {}, \"locks\": {}, \"vars\": {}}},\n  \
          \"sizes\": {{\"text_bytes\": {}, \"binary_bytes\": {}, \
@@ -820,7 +849,9 @@ fn run_trace_io(out_path: Option<String>) {
          \"text_over_binary\": {:.2}}},\n  \"rounds\": {rounds},\n  \
          \"note\": \"events/s, fastest of FT_ROUNDS interleaved rounds in one sitting; \
          *_parse/_decode materialize a Trace, *_stream drain the EventSource without \
-         materializing (the streaming analyze path), *_write serialize a materialized trace\",\n  \
+         materializing (the streaming analyze path), binary_segments runs decode_segment \
+         (CRC included) over every segment of the v2 encoding at the default segment size \
+         (the --jobs reader path), *_write serialize a materialized trace\",\n  \
          \"events_per_s\": {{\n{}\n  }}\n}}\n",
         json_escape(&bench_name),
         trace.len(),

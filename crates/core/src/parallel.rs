@@ -80,6 +80,7 @@
 //! full file (invariant 11; `tests/cache.rs` pins it across engines ×
 //! samplers × append points).
 
+use std::collections::HashSet;
 use std::io::{Read, Seek};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
@@ -188,8 +189,8 @@ struct Worker<D: SplitDetector, S> {
 struct Resume {
     /// First segment to replay.
     start: usize,
-    lock_names: Vec<String>,
-    var_names: Vec<String>,
+    lock_names: NameTable,
+    var_names: NameTable,
     threads: u32,
     pending: Vec<bool>,
     checker: DisciplineChecker,
@@ -207,8 +208,8 @@ impl Resume {
     fn cold(jobs: usize) -> Self {
         Resume {
             start: 0,
-            lock_names: Vec::new(),
-            var_names: Vec::new(),
+            lock_names: NameTable::default(),
+            var_names: NameTable::default(),
             threads: 0,
             pending: Vec::new(),
             checker: DisciplineChecker::new(),
@@ -255,8 +256,8 @@ impl Resume {
         r.finish()?;
         Ok(Resume {
             start: prefix,
-            lock_names,
-            var_names,
+            lock_names: NameTable::new(lock_names),
+            var_names: NameTable::new(var_names),
             threads: last.threads,
             pending: last.pending.clone(),
             checker,
@@ -607,8 +608,8 @@ where
                 Err(_) => break,
             };
             check_watermarks(&lock_names, &var_names, &meta)?;
-            merge_names(&mut lock_names, &data.new_locks, "lock", meta.offset)?;
-            merge_names(&mut var_names, &data.new_vars, "var", meta.offset)?;
+            lock_names.merge(&data.new_locks, "lock", meta.offset)?;
+            var_names.merge(&data.new_vars, "var", meta.offset)?;
             threads = threads
                 .max(data.declared_threads)
                 .max(data.observed_threads);
@@ -699,8 +700,8 @@ where
             reports,
             counters,
             threads,
-            lock_names,
-            var_names,
+            lock_names: lock_names.names,
+            var_names: var_names.names,
         },
         coord,
         workers: vec![records],
@@ -794,8 +795,8 @@ where
                     Err(_) => break,
                 };
                 check_watermarks(&lock_names, &var_names, &meta)?;
-                merge_names(&mut lock_names, &data.new_locks, "lock", meta.offset)?;
-                merge_names(&mut var_names, &data.new_vars, "var", meta.offset)?;
+                lock_names.merge(&data.new_locks, "lock", meta.offset)?;
+                var_names.merge(&data.new_vars, "var", meta.offset)?;
                 threads = threads
                     .max(data.declared_threads)
                     .max(data.observed_threads);
@@ -911,8 +912,8 @@ where
             reports,
             counters,
             threads,
-            lock_names,
-            var_names,
+            lock_names: lock_names.names,
+            var_names: var_names.names,
         },
         coord,
         workers: worker_records,
@@ -1033,11 +1034,11 @@ where
 /// Rejects a segment whose name-table watermarks disagree with the
 /// segments already walked.
 fn check_watermarks(
-    lock_names: &[String],
-    var_names: &[String],
+    lock_names: &NameTable,
+    var_names: &NameTable,
     meta: &SegmentMeta,
 ) -> Result<(), SourceError> {
-    if lock_names.len() != meta.locks_before || var_names.len() != meta.vars_before {
+    if lock_names.names.len() != meta.locks_before || var_names.names.len() != meta.vars_before {
         return Err(BinaryTraceError::new(
             meta.offset,
             "segment name-table watermark disagrees with the preceding segments",
@@ -1047,27 +1048,38 @@ fn check_watermarks(
     Ok(())
 }
 
-/// Appends a segment's name delta, rejecting names already defined by
-/// an earlier segment — the cross-segment half of the v1 reader's
-/// duplicate check (the in-segment half lives in
-/// [`decode_segment`](freshtrack_trace::decode_segment)).
-fn merge_names(
-    table: &mut Vec<String>,
-    fresh: &[String],
-    what: &str,
-    offset: u64,
-) -> Result<(), SourceError> {
-    for name in fresh {
-        if table.iter().any(|existing| existing == name) {
-            return Err(BinaryTraceError::new(
-                offset,
-                format!("duplicate definition of {what} {name:?}"),
-            )
-            .into());
-        }
-        table.push(name.clone());
+/// A name table merged from per-segment deltas, with a hash index
+/// beside it so the cross-segment duplicate check costs one lookup per
+/// new name instead of a scan of every name defined so far.
+#[derive(Default)]
+struct NameTable {
+    names: Vec<String>,
+    index: HashSet<String>,
+}
+
+impl NameTable {
+    fn new(names: Vec<String>) -> Self {
+        let index = names.iter().cloned().collect();
+        NameTable { names, index }
     }
-    Ok(())
+
+    /// Appends a segment's name delta, rejecting names already defined
+    /// by an earlier segment — the cross-segment half of the v1
+    /// reader's duplicate check (the in-segment half lives in
+    /// [`decode_segment`](freshtrack_trace::decode_segment)).
+    fn merge(&mut self, fresh: &[String], what: &str, offset: u64) -> Result<(), SourceError> {
+        for name in fresh {
+            if !self.index.insert(name.clone()) {
+                return Err(BinaryTraceError::new(
+                    offset,
+                    format!("duplicate definition of {what} {name:?}"),
+                )
+                .into());
+            }
+            self.names.push(name.clone());
+        }
+        Ok(())
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -347,17 +347,20 @@ fn duplicate_names_across_segments_are_rejected() {
     )
     .expect("the writer serializes whatever names the source reports");
 
-    let mut file = SegmentedTraceFile::open(Cursor::new(bytes.as_slice())).unwrap();
-    let err = analyze_segments(
-        &mut file,
-        &DjitDetector::new(AlwaysSampler::new()),
-        &AlwaysSampler::new(),
-        2,
-    )
-    .expect_err("cross-segment duplicate definition must be rejected");
-    assert!(
-        err.to_string()
-            .contains("duplicate definition of var \"x\""),
-        "{err}"
-    );
+    // jobs 1 and 2 merge names in different pipelines.
+    for jobs in [1, 2] {
+        let mut file = SegmentedTraceFile::open(Cursor::new(bytes.as_slice())).unwrap();
+        let err = analyze_segments(
+            &mut file,
+            &DjitDetector::new(AlwaysSampler::new()),
+            &AlwaysSampler::new(),
+            jobs,
+        )
+        .expect_err("cross-segment duplicate definition must be rejected");
+        assert!(
+            err.to_string()
+                .contains("duplicate definition of var \"x\""),
+            "jobs {jobs}: {err}"
+        );
+    }
 }

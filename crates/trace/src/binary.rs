@@ -8,7 +8,19 @@
 //! formats). It is also fully streamable in both directions: the writer
 //! emits declaration records as names are interned (so a lazy
 //! [`EventSource`] serializes in constant memory), and
-//! [`BinaryEventReader`] decodes record by record without buffering.
+//! [`BinaryEventReader`] decodes record by record out of a fixed-size
+//! refill buffer (grown only for a name longer than the buffer).
+//!
+//! # One decoder, two callers
+//!
+//! Records are decoded by one cursor over a byte slice
+//! ([`RecordCursor`]), which carries every check of the grammar and
+//! reports failures as small `Copy` codes ([`Fault`]) that become a
+//! [`BinaryTraceError`] only where a caller reports it. The streaming
+//! reader runs it over its refill buffer, refilling and decoding again
+//! when a record straddles the buffer end;
+//! [`decode_segment`](crate::decode_segment) runs it directly over a
+//! segment's checksummed bytes.
 //!
 //! # Layout
 //!
@@ -341,6 +353,315 @@ impl std::fmt::Display for BinaryTraceError {
 
 impl std::error::Error for BinaryTraceError {}
 
+// ---------------------------------------------------------------------
+// The record decoder: one record at a time from a byte slice. The
+// streaming reader runs it over its refill buffer, `decode_segment`
+// over a segment's bytes.
+// ---------------------------------------------------------------------
+
+/// The cause a truncation reports when no I/O error is behind it (the
+/// wording `read_exact` gives at end of input).
+pub(crate) const EOF_REASON: &str = "failed to fill whole buffer";
+
+/// A checkpoint or footer payload cut short is reported at the last
+/// multiple of this many payload bytes that was present.
+const SKIP_CHUNK: u64 = 512;
+
+/// Payload offset a short skip reports after `got` bytes were present.
+pub(crate) fn short_skip_offset(got: u64) -> u64 {
+    got / SKIP_CHUNK * SKIP_CHUNK
+}
+
+/// Why a record failed to decode. A `Copy` code keeps message
+/// formatting out of the decode loop: [`Fault::error`] builds the
+/// [`BinaryTraceError`] where a caller reports it. A fault's offset is the
+/// cursor position it was raised at — past the bytes the failing check
+/// read, or at the first missing byte (for a name, its first byte).
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Fault {
+    /// The input ends inside a tag, a varint or a skipped payload
+    /// (`"input"`), or inside a name's bytes (`"name"`).
+    Truncated(&'static str),
+    VarintOverflow,
+    NoPreviousThread,
+    /// A thread id, operand id or thread count (named) exceeds u32.
+    Overflow(&'static str, u64),
+    Undefined {
+        lock: bool,
+        operand: u32,
+        defined: usize,
+    },
+    NameLength(u64),
+    /// The `len` bytes before the fault offset are a name that is not
+    /// UTF-8 or fails [`validate_name`].
+    BadName(usize),
+    /// The `len` bytes before the fault offset repeat a defined name.
+    Duplicate {
+        lock: bool,
+        len: usize,
+    },
+    UnknownTag(u8),
+}
+
+impl Fault {
+    /// Builds the error for a fault at absolute offset `at`. `consumed`
+    /// is the input up to the fault offset (name faults read the name
+    /// back from its tail); `eof` is the cause a truncation reports.
+    #[cold]
+    pub(crate) fn error(
+        self,
+        at: u64,
+        consumed: &[u8],
+        eof: &dyn std::fmt::Display,
+    ) -> BinaryTraceError {
+        let name = |len: usize| &consumed[consumed.len().saturating_sub(len)..];
+        let what = |lock: bool| if lock { "lock" } else { "var" };
+        let reason = match self {
+            Fault::Truncated(what) => format!("truncated {what}: {eof}"),
+            Fault::VarintOverflow => "varint overflows u64".to_owned(),
+            Fault::NoPreviousThread => "same-thread bit with no previous event".to_owned(),
+            Fault::Overflow(what, value) => format!("{what} {value} overflows u32"),
+            Fault::Undefined {
+                lock,
+                operand,
+                defined,
+            } => format!(
+                "{} id {operand} not yet defined (have {defined})",
+                what(lock)
+            ),
+            Fault::NameLength(len) => format!("unreasonable name length {len}"),
+            Fault::BadName(len) => match std::str::from_utf8(name(len)) {
+                Err(e) => format!("name is not UTF-8: {e}"),
+                Ok(name) => validate_name(name).err().unwrap_or_default(),
+            },
+            Fault::Duplicate { lock, len } => format!(
+                "duplicate definition of {} {:?}",
+                what(lock),
+                String::from_utf8_lossy(name(len))
+            ),
+            Fault::UnknownTag(tag) => format!("unknown record tag {tag:#04x}"),
+        };
+        BinaryTraceError { offset: at, reason }
+    }
+}
+
+/// Decoder state carried from record to record: everything the grammar
+/// consults except the name strings, which each caller keeps its own
+/// way.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct RecordState {
+    /// Format version; segment, checkpoint and footer tags are records
+    /// only from version 2 on.
+    pub(crate) version: u32,
+    /// The thread the same-thread bit refers to; reset at segment
+    /// starts.
+    pub(crate) prev_tid: Option<ThreadId>,
+    /// Lock ids defined so far; lock operands must fall below.
+    pub(crate) locks: usize,
+    /// Variable ids defined so far; variable operands must fall below.
+    pub(crate) vars: usize,
+    pub(crate) declared_threads: u32,
+    pub(crate) observed_threads: u32,
+}
+
+/// One decoded record, as far as a caller needs to see it.
+pub(crate) enum Record<'a> {
+    Event(Event),
+    /// A lock (`lock`) or variable definition, validated and counted in
+    /// the state; the caller checks it for duplicates and stores it.
+    Name {
+        lock: bool,
+        name: &'a str,
+    },
+    /// A checkpoint or footer payload of this many bytes follows; the
+    /// caller skips it.
+    Skip(u64),
+    /// A thread-count or segment record, whose effect is on the state.
+    State,
+    /// The end marker.
+    End,
+}
+
+/// A decode position in a byte slice.
+pub(crate) struct RecordCursor<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> RecordCursor<'a> {
+    pub(crate) fn new(bytes: &'a [u8]) -> Self {
+        RecordCursor { bytes, pos: 0 }
+    }
+
+    pub(crate) fn pos(&self) -> usize {
+        self.pos
+    }
+
+    pub(crate) fn at_end(&self) -> bool {
+        self.pos == self.bytes.len()
+    }
+
+    /// The bytes before the cursor, for [`Fault::error`].
+    pub(crate) fn consumed(&self) -> &'a [u8] {
+        &self.bytes[..self.pos]
+    }
+
+    #[inline(always)]
+    fn byte(&mut self) -> Result<u8, Fault> {
+        let byte = *self.bytes.get(self.pos).ok_or(Fault::Truncated("input"))?;
+        self.pos += 1;
+        Ok(byte)
+    }
+
+    /// A LEB128 varint of at most 10 bytes.
+    #[inline(always)]
+    fn varint(&mut self) -> Result<u64, Fault> {
+        let mut value = 0u64;
+        let mut shift = 0;
+        loop {
+            let byte = self.byte()?;
+            // The 10th byte may only carry the top bit of a u64; a
+            // larger payload (or a continuation) would be silently
+            // truncated by the shift, so reject it as malformed.
+            if shift == 63 && byte > 1 {
+                return Err(Fault::VarintOverflow);
+            }
+            value |= u64::from(byte & 0x7f) << shift;
+            if byte & 0x80 == 0 {
+                return Ok(value);
+            }
+            shift += 7;
+        }
+    }
+
+    /// A definition record's name, enforcing [`validate_name`]'s
+    /// constraints (duplicates are the caller's check): a foreign
+    /// `.ftb` with a metacharacter-laden name is rejected here rather
+    /// than silently turning into a *different* trace after a text
+    /// round trip. The writer enforces the same rules, so the codec's
+    /// own output always decodes.
+    fn name(&mut self) -> Result<&'a str, Fault> {
+        let len = self.varint()?;
+        if len > 1 << 20 {
+            return Err(Fault::NameLength(len));
+        }
+        let len = len as usize;
+        let bytes = self
+            .bytes
+            .get(self.pos..self.pos + len)
+            .ok_or(Fault::Truncated("name"))?;
+        self.pos += len;
+        match std::str::from_utf8(bytes) {
+            Ok(name) if validate_name(name).is_ok() => Ok(name),
+            _ => Err(Fault::BadName(len)),
+        }
+    }
+
+    /// Decodes the record at the cursor and steps past it, applying its
+    /// effect to `state`. On a fault the cursor rests at the fault
+    /// offset and `state` is unchanged, so the streaming reader can
+    /// refill and decode a truncated record again from its start.
+    #[inline(always)]
+    pub(crate) fn record(&mut self, state: &mut RecordState) -> Result<Record<'a>, Fault> {
+        let tag = self.byte()?;
+        if tag < TAG_DEF_LOCK {
+            return self.event(tag, state).map(Record::Event);
+        }
+        match tag {
+            TAG_END => Ok(Record::End),
+            TAG_DEF_LOCK | TAG_DEF_VAR => {
+                let name = self.name()?;
+                let lock = tag == TAG_DEF_LOCK;
+                let defined = if lock {
+                    &mut state.locks
+                } else {
+                    &mut state.vars
+                };
+                *defined = defined.saturating_add(1);
+                Ok(Record::Name { lock, name })
+            }
+            TAG_THREADS => {
+                let n = self.varint()?;
+                if n > u32::MAX as u64 {
+                    return Err(Fault::Overflow("thread count", n));
+                }
+                state.declared_threads = state.declared_threads.max(n as u32);
+                Ok(Record::State)
+            }
+            TAG_SEGMENT if state.version >= 2 => {
+                // Sequential readers only need the boundary's one
+                // semantic effect: the same-thread delta resets, so
+                // each segment decodes without its predecessors.
+                let _index = self.varint()?;
+                state.prev_tid = None;
+                Ok(Record::State)
+            }
+            TAG_CHECKPOINT | TAG_FOOTER if state.version >= 2 => Ok(Record::Skip(self.varint()?)),
+            tag => Err(Fault::UnknownTag(tag)),
+        }
+    }
+
+    #[inline(always)]
+    fn event(&mut self, tag: u8, state: &mut RecordState) -> Result<Event, Fault> {
+        let kind_bits = tag & 0b11;
+        let inline = tag >> 3;
+        let tid = if tag & 0b100 != 0 {
+            state.prev_tid.ok_or(Fault::NoPreviousThread)?
+        } else {
+            let raw = self.varint()?;
+            // `>=` because thread *counts* (`tid + 1`) must fit a u32
+            // too; u32::MAX itself would overflow observed_threads.
+            if raw >= u32::MAX as u64 {
+                return Err(Fault::Overflow("thread id", raw));
+            }
+            ThreadId::new(raw as u32)
+        };
+        let operand = if inline == OPERAND_ESCAPE {
+            self.varint()?
+        } else {
+            u64::from(inline)
+        };
+        if operand > u32::MAX as u64 {
+            return Err(Fault::Overflow("operand id", operand));
+        }
+        let operand = operand as u32;
+        let lock = kind_bits >= 2;
+        let defined = if lock { state.locks } else { state.vars };
+        if operand as usize >= defined {
+            return Err(Fault::Undefined {
+                lock,
+                operand,
+                defined,
+            });
+        }
+        let kind = match kind_bits {
+            0 => EventKind::Read(VarId::new(operand)),
+            1 => EventKind::Write(VarId::new(operand)),
+            2 => EventKind::Acquire(LockId::new(operand)),
+            _ => EventKind::Release(LockId::new(operand)),
+        };
+        state.prev_tid = Some(tid);
+        state.observed_threads = state.observed_threads.max(tid.as_u32() + 1);
+        Ok(Event::new(tid, kind))
+    }
+
+    /// Skips a payload the sequential pass does not interpret (`len`
+    /// comes from untrusted input and sizes nothing).
+    pub(crate) fn skip(&mut self, len: u64) -> Result<(), Fault> {
+        let present = (self.bytes.len() - self.pos) as u64;
+        if len <= present {
+            self.pos += len as usize;
+            Ok(())
+        } else {
+            self.pos += short_skip_offset(present) as usize;
+            Err(Fault::Truncated("input"))
+        }
+    }
+}
+
+/// Initial size of the streaming reader's refill buffer.
+const REFILL_BYTES: usize = 64 * 1024;
+
 /// A streaming decoder for the binary trace format, mirroring
 /// [`EventReader`](crate::EventReader) for the text format.
 ///
@@ -349,23 +670,41 @@ impl std::error::Error for BinaryTraceError {}
 /// of the stream. Decoding stops at the first malformed record; a
 /// missing end marker (truncated input) is an error, so silent prefix
 /// loss cannot masquerade as success.
-#[derive(Debug)]
+///
+/// Input is read in large chunks into an owned refill buffer, and each
+/// record is decoded in place there. A record the buffer holds only
+/// part of is carried to the front and decoded again after the next
+/// read, so chunk boundaries never change what is decoded or which
+/// error is reported. Each [`next_event`](EventSource::next_event)
+/// still decodes only up to the next event record: declarations that
+/// follow an event become visible with the next call, never earlier.
 pub struct BinaryEventReader<R> {
-    input: std::io::BufReader<R>,
-    /// Byte offset of the next unread byte.
-    offset: u64,
-    /// Format version (1 or 2) negotiated from the magic.
-    version: u32,
-    /// Segment-slice mode: the input is the record body of one segment,
-    /// so a clean EOF at a record boundary ends the stream (there is no
-    /// end marker inside a segment).
-    eof_ends_stream: bool,
+    input: R,
+    /// Refill buffer; `buf[start..end]` is read but not yet decoded.
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
+    /// Absolute input offset of `buf[0]`.
+    base: u64,
+    /// The input is exhausted (or failed with `io_error`): a record
+    /// still truncated now stays truncated.
+    eof: bool,
+    io_error: Option<std::io::Error>,
+    state: RecordState,
     locks: Interner,
     vars: Interner,
-    declared_threads: u32,
-    observed_threads: u32,
-    prev_tid: Option<ThreadId>,
     done: bool,
+}
+
+impl<R> std::fmt::Debug for BinaryEventReader<R> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("BinaryEventReader")
+            .field("offset", &(self.base + self.start as u64))
+            .field("buffered", &(self.end - self.start))
+            .field("state", &self.state)
+            .field("done", &self.done)
+            .finish_non_exhaustive()
+    }
 }
 
 impl<R: Read> BinaryEventReader<R> {
@@ -380,276 +719,163 @@ impl<R: Read> BinaryEventReader<R> {
     /// of as garbage.
     pub fn new(input: R) -> Result<Self, BinaryTraceError> {
         let mut reader = BinaryEventReader {
-            input: std::io::BufReader::new(input),
-            offset: 0,
-            version: 1,
-            eof_ends_stream: false,
+            input,
+            buf: vec![0; REFILL_BYTES],
+            start: 0,
+            end: 0,
+            base: 0,
+            eof: false,
+            io_error: None,
+            state: RecordState::default(),
             locks: Interner::default(),
             vars: Interner::default(),
-            declared_threads: 0,
-            observed_threads: 0,
-            prev_tid: None,
             done: false,
         };
-        let mut magic = [0u8; 8];
-        reader
-            .input
-            .read_exact(&mut magic)
-            .map_err(|e| reader.fail(format!("cannot read magic: {e}")))?;
-        reader.offset = 8;
-        match magic_version(&magic) {
-            Some(v @ (1 | 2)) => reader.version = v,
+        let n = BINARY_MAGIC.len();
+        while reader.end < n && !reader.eof {
+            reader.refill();
+        }
+        if reader.end < n {
+            let reason = format!("cannot read magic: {}", reader.eof_reason());
+            return Err(BinaryTraceError::new(0, reason));
+        }
+        reader.start = n;
+        let magic = reader.buf[..n].try_into().expect("sliced to 8 bytes");
+        match magic_version(magic) {
+            Some(v @ (1 | 2)) => reader.state.version = v,
             Some(v) => {
-                return Err(reader.fail(format!(
-                    "unsupported binary trace version {v} (this build reads 1 and 2)"
-                )))
+                return Err(BinaryTraceError::new(
+                    8,
+                    format!("unsupported binary trace version {v} (this build reads 1 and 2)"),
+                ))
             }
-            None => return Err(reader.fail("not a binary trace (bad magic)".to_owned())),
+            None => return Err(BinaryTraceError::new(8, "not a binary trace (bad magic)")),
         }
         Ok(reader)
     }
 
     /// The negotiated format version (1 or 2).
     pub fn version(&self) -> u32 {
-        self.version
+        self.state.version
     }
 
-    /// Builds a decoder over the record body of one v2 segment (no
-    /// magic, no end marker): names decoded so far are pre-seeded so
-    /// operand ids resolve, `base_offset` keeps error offsets absolute,
-    /// and a clean EOF at a record boundary ends the stream.
-    pub(crate) fn for_segment(
-        input: R,
-        base_offset: u64,
-        locks: Interner,
-        vars: Interner,
-        declared_threads: u32,
-    ) -> Self {
-        BinaryEventReader {
-            input: std::io::BufReader::new(input),
-            offset: base_offset,
-            version: 2,
-            eof_ends_stream: true,
-            locks,
-            vars,
-            declared_threads,
-            observed_threads: 0,
-            prev_tid: None,
-            done: false,
+    fn eof_reason(&self) -> &dyn std::fmt::Display {
+        match &self.io_error {
+            Some(e) => e,
+            None => &EOF_REASON,
         }
     }
 
-    fn fail(&mut self, reason: String) -> BinaryTraceError {
-        self.done = true;
-        BinaryTraceError {
-            offset: self.offset,
-            reason,
+    /// Moves the undecoded tail to the front of the buffer and reads
+    /// more input behind it. A record longer than the whole buffer
+    /// doubles it; only a name can be, and names are capped at 1 MiB,
+    /// so the buffer never outgrows 2 MiB.
+    fn refill(&mut self) {
+        if self.start > 0 {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.base += self.start as u64;
+            self.end -= self.start;
+            self.start = 0;
         }
-    }
-
-    fn read_byte(&mut self) -> Result<u8, BinaryTraceError> {
-        let mut byte = [0u8];
-        match self.input.read_exact(&mut byte) {
-            Ok(()) => {
-                self.offset += 1;
-                Ok(byte[0])
-            }
-            Err(e) => Err(self.fail(format!("truncated input: {e}"))),
+        if self.end == self.buf.len() {
+            self.buf.resize(2 * self.buf.len(), 0);
         }
-    }
-
-    /// Reads the next record's tag byte; `Ok(None)` at a clean EOF in
-    /// segment-slice mode, where the slice end plays the role of the
-    /// end marker.
-    fn read_tag(&mut self) -> Result<Option<u8>, BinaryTraceError> {
-        let mut byte = [0u8];
-        match self.input.read_exact(&mut byte) {
-            Ok(()) => {
-                self.offset += 1;
-                Ok(Some(byte[0]))
+        loop {
+            match self.input.read(&mut self.buf[self.end..]) {
+                Ok(0) => self.eof = true,
+                Ok(n) => self.end += n,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) => {
+                    self.io_error = Some(e);
+                    self.eof = true;
+                }
             }
-            Err(e) if self.eof_ends_stream && e.kind() == std::io::ErrorKind::UnexpectedEof => {
-                Ok(None)
-            }
-            Err(e) => Err(self.fail(format!("truncated input: {e}"))),
+            return;
         }
     }
 
     /// Skips `len` payload bytes (checkpoint/footer records the
-    /// sequential pass does not interpret). Bounded buffer: `len` comes
-    /// from untrusted input and must not size an allocation.
-    fn skip_bytes(&mut self, len: u64) -> Result<(), BinaryTraceError> {
-        let mut buf = [0u8; 512];
-        let mut remaining = len;
-        while remaining > 0 {
-            let n = remaining.min(buf.len() as u64) as usize;
-            if let Err(e) = self.input.read_exact(&mut buf[..n]) {
-                return Err(self.fail(format!("truncated input: {e}")));
+    /// sequential pass does not interpret) without buffering them.
+    fn skip(&mut self, len: u64) -> Result<(), BinaryTraceError> {
+        let payload = self.base + self.start as u64;
+        let mut left = len;
+        loop {
+            let take = left.min((self.end - self.start) as u64);
+            self.start += take as usize;
+            left -= take;
+            if left == 0 {
+                return Ok(());
             }
-            self.offset += n as u64;
-            remaining -= n as u64;
-        }
-        Ok(())
-    }
-
-    fn read_varint(&mut self) -> Result<u64, BinaryTraceError> {
-        let mut value = 0u64;
-        for shift in (0..64).step_by(7) {
-            let byte = self.read_byte()?;
-            // The 10th byte may only carry the top bit of a u64; a
-            // larger payload (or a continuation) would be silently
-            // truncated by the shift, so reject it as malformed.
-            if shift == 63 && byte > 1 {
-                return Err(self.fail("varint overflows u64".to_owned()));
+            if self.eof {
+                self.done = true;
+                let at = payload + short_skip_offset(len - left);
+                return Err(Fault::Truncated("input").error(at, &[], self.eof_reason()));
             }
-            value |= ((byte & 0x7f) as u64) << shift;
-            if byte & 0x80 == 0 {
-                return Ok(value);
-            }
+            self.refill();
         }
-        Err(self.fail("varint overflows u64".to_owned()))
-    }
-
-    /// Reads a definition record's name, enforcing [`validate_name`]'s
-    /// constraints (duplicates are rejected at the call site): a
-    /// foreign `.ftb` with a metacharacter-laden name is rejected here
-    /// rather than silently turning into a *different* trace after a
-    /// text round trip. The writer enforces the same rules, so the
-    /// codec's own output always decodes.
-    fn read_name(&mut self) -> Result<String, BinaryTraceError> {
-        let len = self.read_varint()?;
-        if len > 1 << 20 {
-            return Err(self.fail(format!("unreasonable name length {len}")));
-        }
-        let mut bytes = vec![0u8; len as usize];
-        if let Err(e) = self.input.read_exact(&mut bytes) {
-            return Err(self.fail(format!("truncated name: {e}")));
-        }
-        self.offset += len;
-        let name =
-            String::from_utf8(bytes).map_err(|e| self.fail(format!("name is not UTF-8: {e}")))?;
-        validate_name(&name).map_err(|reason| self.fail(reason))?;
-        Ok(name)
-    }
-
-    fn decode_event(&mut self, tag: u8) -> Result<Event, BinaryTraceError> {
-        let kind_bits = tag & 0b11;
-        let same_tid = tag & 0b100 != 0;
-        let inline = tag >> 3;
-        let tid = if same_tid {
-            match self.prev_tid {
-                Some(tid) => tid,
-                None => return Err(self.fail("same-thread bit with no previous event".to_owned())),
-            }
-        } else {
-            let raw = self.read_varint()?;
-            // `>=` because thread *counts* (`tid + 1`) must fit a u32
-            // too; u32::MAX itself would overflow observed_threads.
-            if raw >= u32::MAX as u64 {
-                return Err(self.fail(format!("thread id {raw} overflows u32")));
-            }
-            ThreadId::new(raw as u32)
-        };
-        let operand = if inline == OPERAND_ESCAPE {
-            self.read_varint()?
-        } else {
-            inline as u64
-        };
-        if operand > u32::MAX as u64 {
-            return Err(self.fail(format!("operand id {operand} overflows u32")));
-        }
-        let operand = operand as u32;
-        let (defined, what) = if kind_bits < 2 {
-            (self.vars.len(), "var")
-        } else {
-            (self.locks.len(), "lock")
-        };
-        if operand as usize >= defined {
-            return Err(self.fail(format!(
-                "{what} id {operand} not yet defined (have {defined})"
-            )));
-        }
-        let kind = match kind_bits {
-            0 => EventKind::Read(VarId::new(operand)),
-            1 => EventKind::Write(VarId::new(operand)),
-            2 => EventKind::Acquire(LockId::new(operand)),
-            _ => EventKind::Release(LockId::new(operand)),
-        };
-        self.prev_tid = Some(tid);
-        self.observed_threads = self.observed_threads.max(tid.as_u32() + 1);
-        Ok(Event::new(tid, kind))
     }
 }
 
 impl<R: Read> EventSource for BinaryEventReader<R> {
     fn next_event(&mut self) -> Result<Option<Event>, SourceError> {
-        loop {
-            if self.done {
-                return Ok(None);
-            }
-            let Some(tag) = self.read_tag()? else {
-                self.done = true;
-                return Ok(None);
-            };
-            match tag {
-                TAG_END => {
+        while !self.done {
+            let mut cursor = RecordCursor::new(&self.buf[self.start..self.end]);
+            let fault = match cursor.record(&mut self.state) {
+                Ok(Record::Event(event)) => {
+                    self.start += cursor.pos();
+                    return Ok(Some(event));
+                }
+                Ok(Record::Name { lock, name }) => {
+                    let table = if lock {
+                        &mut self.locks
+                    } else {
+                        &mut self.vars
+                    };
+                    if table.contains(name) {
+                        Fault::Duplicate {
+                            lock,
+                            len: name.len(),
+                        }
+                    } else {
+                        table.push(name.to_owned());
+                        self.start += cursor.pos();
+                        continue;
+                    }
+                }
+                Ok(Record::Skip(len)) => {
+                    self.start += cursor.pos();
+                    self.skip(len)?;
+                    continue;
+                }
+                Ok(Record::State) => {
+                    self.start += cursor.pos();
+                    continue;
+                }
+                Ok(Record::End) => {
+                    self.start += cursor.pos();
                     self.done = true;
                     return Ok(None);
                 }
-                TAG_DEF_LOCK => {
-                    let name = self.read_name()?;
-                    if self.locks.contains(&name) {
-                        return Err(self
-                            .fail(format!("duplicate definition of lock {name:?}"))
-                            .into());
-                    }
-                    self.locks.push(name);
+                Err(Fault::Truncated(_)) if !self.eof => {
+                    self.refill();
+                    continue;
                 }
-                TAG_DEF_VAR => {
-                    let name = self.read_name()?;
-                    if self.vars.contains(&name) {
-                        return Err(self
-                            .fail(format!("duplicate definition of var {name:?}"))
-                            .into());
-                    }
-                    self.vars.push(name);
-                }
-                TAG_THREADS => {
-                    let n = self.read_varint()?;
-                    if n > u32::MAX as u64 {
-                        return Err(self.fail(format!("thread count {n} overflows u32")).into());
-                    }
-                    self.declared_threads = self.declared_threads.max(n as u32);
-                }
-                TAG_SEGMENT if self.version >= 2 => {
-                    // Sequential readers only need the boundary's one
-                    // semantic effect: the same-thread delta resets, so
-                    // each segment decodes without its predecessors.
-                    let _index = self.read_varint()?;
-                    self.prev_tid = None;
-                }
-                TAG_CHECKPOINT if self.version >= 2 => {
-                    let len = self.read_varint()?;
-                    self.skip_bytes(len)?;
-                }
-                TAG_FOOTER if self.version >= 2 => {
-                    let len = self.read_varint()?;
-                    self.skip_bytes(len)?;
-                }
-                tag if tag >= TAG_DEF_LOCK => {
-                    return Err(self.fail(format!("unknown record tag {tag:#04x}")).into());
-                }
-                tag => return Ok(Some(self.decode_event(tag)?)),
-            }
+                Err(fault) => fault,
+            };
+            let at = self.base + (self.start + cursor.pos()) as u64;
+            let err = fault.error(at, cursor.consumed(), self.eof_reason());
+            self.done = true;
+            return Err(err.into());
         }
+        Ok(None)
     }
 
     fn declared_threads(&self) -> u32 {
-        self.declared_threads
+        self.state.declared_threads
     }
 
     fn observed_threads(&self) -> u32 {
-        self.observed_threads
+        self.state.observed_threads
     }
 
     fn lock_count(&self) -> usize {

@@ -45,19 +45,24 @@
 //! [`BinaryEventReader`](crate::BinaryEventReader) streams v2 files by
 //! skipping the markers. This module adds the random-access path
 //! ([`SegmentedTraceFile`], [`decode_segment`]) and the segmented
-//! writer ([`write_source_binary_v2`]).
+//! writer ([`write_source_binary_v2`]). [`decode_segment`] runs the
+//! streaming reader's record decoder directly over one segment's bytes,
+//! resolving operands against the footer's name watermarks, so a
+//! segment decodes without its predecessors' names.
 
+use std::collections::HashSet;
 use std::io::{Read, Seek, SeekFrom, Write};
 
 use freshtrack_clock::wire::{self, WireError, WireReader};
 use freshtrack_clock::{ThreadId, VectorClock};
 
 use crate::binary::{
-    flush_binary_meta, magic_version, write_event_record, write_varint, BinaryEventReader,
-    BINARY_MAGIC_V2, TAG_CHECKPOINT, TAG_END, TAG_FOOTER, TAG_SEGMENT, TAG_THREADS,
+    flush_binary_meta, magic_version, write_event_record, write_varint, Fault, Record,
+    RecordCursor, RecordState, BINARY_MAGIC_V2, EOF_REASON, TAG_CHECKPOINT, TAG_END, TAG_FOOTER,
+    TAG_SEGMENT, TAG_THREADS,
 };
 use crate::io::{EmittedMeta, WriteSourceError};
-use crate::source::{EventSource, Interner, SourceError};
+use crate::source::EventSource;
 use crate::{BinaryTraceError, Event, EventKind, LockId, Trace};
 
 /// The 4-byte magic closing a v2 file, preceded by the 8-byte LE footer
@@ -963,9 +968,16 @@ pub struct SegmentData {
 }
 
 /// Decodes one segment's record bytes against its footer entry —
-/// checksum first, then the v1 record grammar with name tables
-/// pre-seeded to the segment's watermarks. A pure function of its
-/// inputs, safe to fan out across threads.
+/// checksum first, then the v1 record grammar, run directly over
+/// `bytes` by the same record decoder the streaming reader uses.
+/// Operand ids resolve against the segment's watermarks
+/// (`meta.locks_before`/`meta.vars_before`) plus the names it defines
+/// itself. A pure function of its inputs, safe to fan out across
+/// threads.
+///
+/// Duplicate definitions are checked against the segment's own names
+/// only; names already defined by earlier segments are the merging
+/// caller's check, since this segment cannot see them.
 ///
 /// # Errors
 ///
@@ -989,25 +1001,53 @@ pub fn decode_segment(bytes: &[u8], meta: &SegmentMeta) -> Result<SegmentData, B
             "segment checksum mismatch (corrupt or truncated file)",
         ));
     }
-    let mut reader = BinaryEventReader::for_segment(
-        bytes,
-        meta.offset,
-        Interner::with_placeholders(meta.locks_before),
-        Interner::with_placeholders(meta.vars_before),
-        0,
-    );
+    let mut state = RecordState {
+        version: 2,
+        locks: meta.locks_before,
+        vars: meta.vars_before,
+        ..RecordState::default()
+    };
     // Each event record costs at least one byte, so this cannot
     // over-allocate even if the (checksummed) footer were corrupt.
     let mut events = Vec::with_capacity((meta.event_count as usize).min(bytes.len()));
-    loop {
-        match reader.next_event() {
-            Ok(Some(event)) => events.push(event),
-            Ok(None) => break,
-            Err(SourceError::Binary(e)) => return Err(e),
-            Err(other) => {
-                return Err(BinaryTraceError::new(meta.offset, format!("{other}")));
+    let mut new_locks: Vec<&str> = Vec::new();
+    let mut new_vars: Vec<&str> = Vec::new();
+    let mut seen_locks: HashSet<&str> = HashSet::new();
+    let mut seen_vars: HashSet<&str> = HashSet::new();
+    let mut cursor = RecordCursor::new(bytes);
+    // A segment has no end marker: the end of its bytes at a record
+    // boundary ends it.
+    while !cursor.at_end() {
+        let fault = match cursor.record(&mut state) {
+            Ok(Record::Event(event)) => {
+                events.push(event);
+                continue;
             }
-        }
+            Ok(Record::Name { lock, name }) => {
+                let (names, seen) = if lock {
+                    (&mut new_locks, &mut seen_locks)
+                } else {
+                    (&mut new_vars, &mut seen_vars)
+                };
+                if seen.insert(name) {
+                    names.push(name);
+                    continue;
+                }
+                Fault::Duplicate {
+                    lock,
+                    len: name.len(),
+                }
+            }
+            Ok(Record::Skip(len)) => match cursor.skip(len) {
+                Ok(()) => continue,
+                Err(fault) => fault,
+            },
+            Ok(Record::State) => continue,
+            Ok(Record::End) => break,
+            Err(fault) => fault,
+        };
+        let at = meta.offset.saturating_add(cursor.pos() as u64);
+        return Err(fault.error(at, cursor.consumed(), &EOF_REASON));
     }
     if events.len() as u64 != meta.event_count {
         return Err(BinaryTraceError::new(
@@ -1019,18 +1059,12 @@ pub fn decode_segment(bytes: &[u8], meta: &SegmentMeta) -> Result<SegmentData, B
             ),
         ));
     }
-    let new_locks = (meta.locks_before..reader.lock_count())
-        .map(|i| reader.lock_name(i).to_owned())
-        .collect();
-    let new_vars = (meta.vars_before..reader.var_count())
-        .map(|i| reader.var_name(i).to_owned())
-        .collect();
     Ok(SegmentData {
         events,
-        new_locks,
-        new_vars,
-        declared_threads: reader.declared_threads(),
-        observed_threads: reader.observed_threads(),
+        new_locks: new_locks.into_iter().map(str::to_owned).collect(),
+        new_vars: new_vars.into_iter().map(str::to_owned).collect(),
+        declared_threads: state.declared_threads,
+        observed_threads: state.observed_threads,
     })
 }
 
@@ -1063,7 +1097,9 @@ mod tests {
     use std::io::Cursor;
 
     use super::*;
-    use crate::{read_trace_binary, write_source_binary, write_trace_binary, TraceBuilder};
+    use crate::{
+        read_trace_binary, write_source_binary, write_trace_binary, BinaryEventReader, TraceBuilder,
+    };
 
     fn opts(n: usize) -> SegmentOptions {
         SegmentOptions {
@@ -1313,7 +1349,7 @@ mod tests {
     #[test]
     fn decoded_segments_resolve_cross_segment_operands() {
         // Segment boundaries fall so that segment 1+ reference names
-        // defined in segment 0: placeholders must make the ids resolve
+        // defined in segment 0: the watermark must make the ids resolve
         // and the real names must come only from the owning segment.
         let mut b = TraceBuilder::new();
         let x = b.var("x");

@@ -434,19 +434,6 @@ impl Interner {
         id
     }
 
-    /// An interner pre-seeded with `n` placeholder names, for decoding
-    /// one v2 segment in isolation: operand ids below `n` resolve (their
-    /// real names live in earlier segments), and the placeholders carry
-    /// a NUL byte so no valid name ([`crate::binary`] rejects control
-    /// characters on both codec paths) can collide with them.
-    pub(crate) fn with_placeholders(n: usize) -> Interner {
-        let mut interner = Interner::default();
-        for k in 0..n {
-            interner.push(format!("\u{0}#{k}"));
-        }
-        interner
-    }
-
     /// Appends a name with the next dense id without a lookup (binary
     /// definition records arrive in id order by construction).
     pub(crate) fn push(&mut self, name: String) -> u32 {

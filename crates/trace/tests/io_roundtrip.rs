@@ -13,15 +13,18 @@
 //!   identities (streamed through the lazy converters, not
 //!   re-materialized),
 //! * stream: decoding the binary event by event yields exactly the
-//!   batch decoding.
+//!   batch decoding, however short the reads that deliver the bytes.
 
 use freshtrack_trace::{
     read_trace, read_trace_binary, write_source, write_source_binary, write_source_binary_v2,
-    write_trace, write_trace_binary, BinaryEventReader, Event, EventReader, EventSource,
-    SegmentOptions, Trace, TraceBuilder,
+    write_trace, write_trace_binary, write_trace_binary_v2, BinaryEventReader, Event, EventReader,
+    EventSource, SegmentOptions, Trace, TraceBuilder,
 };
 use freshtrack_workloads::{generate, Pattern, WorkloadConfig};
 use proptest::prelude::*;
+
+mod common;
+use common::{Chunked, CHUNK_SIZES};
 
 const PATTERNS: [Pattern; 6] = [
     Pattern::Mixed,
@@ -152,6 +155,47 @@ fn wide_operand_spaces_roundtrip() {
     assert_identity_roundtrip("wide-operands", &trace);
 }
 
+/// Decodes `bytes` through `k`-byte reads: every read size must give
+/// the one-shot decoding — events, name tables and thread count.
+fn assert_chunked_reads_decode_identically(label: &str, bytes: &[u8]) {
+    let one_shot = read_trace_binary(bytes)
+        .unwrap_or_else(|e| panic!("[{label}] one-shot decode failed: {e}"));
+    for k in CHUNK_SIZES {
+        let mut reader = BinaryEventReader::new(Chunked { bytes, k }).expect("magic");
+        let chunked = Trace::from_source(&mut reader)
+            .unwrap_or_else(|e| panic!("[{label}] {k}-byte reads failed: {e}"));
+        assert_traces_equal(&format!("{label}/{k}-byte reads"), &one_shot, &chunked);
+    }
+}
+
+#[test]
+fn a_name_longer_than_the_refill_buffer_decodes_in_chunks() {
+    let mut b = TraceBuilder::new();
+    let x = b.var("x");
+    let long = b.var(&"n".repeat(100_000));
+    let l = b.lock(&"m".repeat(70_000));
+    b.acquire(0, l).write(0, long).release(0, l).read(1, x);
+    let trace = b.build();
+    let mut v1 = Vec::new();
+    write_trace_binary(&trace, &mut v1).expect("in-memory write");
+    assert_chunked_reads_decode_identically("long-name/v1", &v1);
+    let mut v2 = Vec::new();
+    write_trace_binary_v2(
+        &trace,
+        &mut v2,
+        &SegmentOptions {
+            events_per_segment: 2,
+        },
+    )
+    .expect("in-memory write");
+    assert_chunked_reads_decode_identically("long-name/v2", &v2);
+    assert_traces_equal(
+        "long-name",
+        &trace,
+        &read_trace_binary(&v2).expect("decode"),
+    );
+}
+
 /// Raw fuel interpreted into a valid trace (same scheme as the core
 /// crate's equivalence tests): arbitrary builder traces with fork/join,
 /// silent declared threads, and odd-but-legal name usage.
@@ -227,6 +271,25 @@ proptest! {
     ) {
         let trace = build_fuel_trace(&fuel, 5, 4, 3);
         assert_identity_roundtrip("fuzz", &trace);
+    }
+
+    /// Short reads never change what the streaming reader decodes:
+    /// the v1 and v2 encodings of a fuzzed trace, delivered a few
+    /// bytes at a time, decode exactly like the whole input at once.
+    #[test]
+    fn chunked_reads_decode_like_one_shot(
+        fuel in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 0..200),
+        seg_raw in any::<u16>(),
+    ) {
+        let trace = build_fuel_trace(&fuel, 5, 4, 3);
+        let mut v1 = Vec::new();
+        write_trace_binary(&trace, &mut v1).expect("v1 encode");
+        assert_chunked_reads_decode_identically("fuzz/v1", &v1);
+        let events_per_segment = (seg_raw as usize % 64).max(1);
+        let mut v2 = Vec::new();
+        write_trace_binary_v2(&trace, &mut v2, &SegmentOptions { events_per_segment })
+            .expect("v2 encode");
+        assert_chunked_reads_decode_identically("fuzz/v2", &v2);
     }
 
     /// text → v2 → text byte-identity, in process: the segmented v2

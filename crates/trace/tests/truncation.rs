@@ -7,10 +7,15 @@
 //! inside the trailer it does not need — and the seeking reader
 //! ([`SegmentedTraceFile`]) rejects even those.
 
+use std::io::Read;
+
 use freshtrack_trace::{
     is_binary_trace, write_trace_binary, write_trace_binary_v2, BinaryEventReader, Event,
     EventReader, EventSource, SegmentOptions, SegmentedTraceFile, Trace, TraceBuilder,
 };
+
+mod common;
+use common::{Chunked, CHUNK_SIZES};
 
 fn sample_trace() -> Trace {
     let mut b = TraceBuilder::new();
@@ -30,7 +35,12 @@ fn sample_trace() -> Trace {
 
 /// Streams every event out of a byte prefix, or the first error.
 fn stream_all(bytes: &[u8]) -> Result<Vec<Event>, String> {
-    let mut reader = BinaryEventReader::new(bytes).map_err(|e| e.to_string())?;
+    stream_from(bytes)
+}
+
+/// [`stream_all`] over any reader; errors carry text and byte offset.
+fn stream_from<R: Read>(input: R) -> Result<Vec<Event>, String> {
+    let mut reader = BinaryEventReader::new(input).map_err(|e| e.to_string())?;
     let mut events = Vec::new();
     loop {
         match reader.next_event() {
@@ -98,6 +108,57 @@ fn v2_truncated_at_every_byte_is_an_error_or_the_complete_trace() {
             bytes.len()
         );
     }
+}
+
+/// Each prefix `bytes[..cut]` streams to the same events, or the same
+/// error text and byte offset, for every read size.
+fn assert_same_result_for_every_read_size(bytes: &[u8], cuts: impl IntoIterator<Item = usize>) {
+    for cut in cuts {
+        let one_shot = stream_all(&bytes[..cut]);
+        for k in CHUNK_SIZES {
+            let chunked = stream_from(Chunked {
+                bytes: &bytes[..cut],
+                k,
+            });
+            assert_eq!(
+                chunked,
+                one_shot,
+                "cut {cut}/{}, {k}-byte reads",
+                bytes.len()
+            );
+        }
+    }
+}
+
+/// Where a truncation is reported must not depend on how the input
+/// arrived: reads that split a record, and reads around the refill
+/// buffer size, report every cut exactly like one whole read.
+#[test]
+fn truncations_report_the_same_error_for_every_read_size() {
+    let trace = sample_trace();
+    let mut v1 = Vec::new();
+    write_trace_binary(&trace, &mut v1).unwrap();
+    let mut v2 = Vec::new();
+    write_trace_binary_v2(
+        &trace,
+        &mut v2,
+        &SegmentOptions {
+            events_per_segment: 4,
+        },
+    )
+    .unwrap();
+    assert_same_result_for_every_read_size(&v1, 0..=v1.len());
+    assert_same_result_for_every_read_size(&v2, 0..=v2.len());
+
+    // A name longer than the refill buffer, cut inside and around it.
+    let mut b = TraceBuilder::new();
+    let long = b.var(&"n".repeat(100_000));
+    b.write(0, long);
+    let mut bytes = Vec::new();
+    write_trace_binary(&b.build(), &mut bytes).unwrap();
+    let len = bytes.len();
+    let cuts = [9, 10, 11, 12, 50_000, 65_535, 65_536, 65_537, len - 1, len];
+    assert_same_result_for_every_read_size(&bytes, cuts);
 }
 
 #[test]
