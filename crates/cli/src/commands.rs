@@ -2,9 +2,8 @@ use std::io::{Read, Write};
 
 use freshtrack_core::{
     analyze_segments, analyze_segments_cached, CheckpointState, Counters, Detector, DjitDetector,
-    FastTrackDetector, FreshnessDetector, HbOracle, NaiveSamplingDetector, OracleConfig,
-    OrderedListDetector, RaceReport, SegmentedAnalysis, SplitDetector, StreamingOracle, SyncMode,
-    CACHE_STATE_VERSION,
+    FastTrackDetector, FreshnessDetector, NaiveSamplingDetector, OracleConfig, OrderedListDetector,
+    RaceReport, SegmentedAnalysis, SplitDetector, StreamingOracle, SyncMode, CACHE_STATE_VERSION,
 };
 use freshtrack_dbsim::{run_detector, run_sharded, RunOptions};
 use freshtrack_rapid::report::{pct, Table};
@@ -12,7 +11,7 @@ use freshtrack_sampling::{BernoulliSampler, Sampler};
 use freshtrack_trace::{
     is_binary_trace, write_source, write_source_binary, write_source_binary_v2, write_trace,
     AnalysisCache, BinaryEventReader, CacheConfig, EventReader, EventSource, SegmentOptions,
-    SegmentedTraceFile, Trace, TraceStats, Validated,
+    SegmentedTraceFile, TraceStats, Validated,
 };
 use freshtrack_workloads::{benchbase, corpus, generate, Pattern, WorkloadConfig};
 
@@ -116,12 +115,11 @@ fn analyze<W: std::io::Write>(rest: &[String], out: &mut W) -> Result<(), ArgErr
     if jobs == 0 {
         return Err(ArgError("--jobs must be at least 1".into()));
     }
-    let want_cache = args.flag("cache") || args.get("cache").is_some();
-    if want_cache && !args.flag("no-cache") {
-        return analyze_cached(&args, &engine, rate, seed, jobs, out);
-    }
-    if jobs >= 2 {
-        return analyze_parallel(&args, &engine, rate, seed, jobs, out);
+    let want_cache = (args.flag("cache") || args.get("cache").is_some()) && !args.flag("no-cache");
+    if want_cache || jobs >= 2 {
+        let path = input_path(&args)?;
+        let sidecar = want_cache.then(|| cache_path_for(&args, path));
+        return analyze_segmented(&args, sidecar, &engine, rate, seed, jobs, out);
     }
     let (mut source, path) = open_validated(&args)?;
     let sampler = BernoulliSampler::new(rate, seed);
@@ -168,11 +166,15 @@ fn analyze<W: std::io::Write>(rest: &[String], out: &mut W) -> Result<(), ArgErr
     Ok(())
 }
 
-/// Runs `analyze --jobs N` (N ≥ 2): checkpointed parallel replay of a
-/// segmented `.ftb` v2 file, printing output byte-identical to the
-/// sequential path (the CI smoke step diffs the two).
-fn analyze_parallel<W: std::io::Write>(
+/// Runs `analyze` over a segmented `.ftb` v2 file: `--jobs N` (N ≥ 2)
+/// replays it in parallel from checkpoints, and a `sidecar` path
+/// (`--cache[=PATH]`) reuses and rewrites a `.ftc` analysis cache so
+/// re-analysis after an append costs O(appended). Stdout is
+/// byte-identical to the sequential path (the CI smoke steps diff
+/// them); cache status goes to stderr.
+fn analyze_segmented<W: std::io::Write>(
     args: &Args,
+    sidecar: Option<String>,
     engine: &str,
     rate: f64,
     seed: u64,
@@ -180,24 +182,41 @@ fn analyze_parallel<W: std::io::Write>(
     out: &mut W,
 ) -> Result<(), ArgError> {
     let path = input_path(args)?;
+    let option = if sidecar.is_some() {
+        "--cache"
+    } else {
+        "--jobs >= 2"
+    };
     if path == "-" {
-        return Err(ArgError(
-            "--jobs needs a seekable segmented file, not stdin (pipe through \
+        return Err(ArgError(format!(
+            "{option} needs a seekable segmented file, not stdin (pipe through \
              `convert --to binary-v2` first)"
-                .into(),
-        ));
+        )));
     }
     let file =
         std::fs::File::open(path).map_err(|e| ArgError(format!("cannot read {path}: {e}")))?;
     let mut seg = SegmentedTraceFile::open(file).map_err(|e| ArgError(format!("{path}: {e}")))?;
 
+    /// The `.ftc` sidecar of a cached run.
+    struct Sidecar {
+        path: String,
+        config: CacheConfig,
+        prior: Option<AnalysisCache>,
+    }
+
+    /// Everything `drive` needs besides the engine-specific halves.
+    struct Ctx<'a> {
+        path: &'a str,
+        sidecar: Option<Sidecar>,
+        jobs: usize,
+        counters: bool,
+    }
+
     fn drive<D, S, R, W>(
         detector: D,
         sampler: S,
         seg: &mut SegmentedTraceFile<R>,
-        path: &str,
-        jobs: usize,
-        counters_flag: bool,
+        ctx: &Ctx<'_>,
         out: &mut W,
     ) -> Result<(), ArgError>
     where
@@ -208,57 +227,79 @@ fn analyze_parallel<W: std::io::Write>(
         R: Read + std::io::Seek + Send,
         W: std::io::Write,
     {
-        let analysis = analyze_segments(seg, &detector, &sampler, jobs)
-            .map_err(|e| ArgError(format!("{path}: {e}")))?;
-        print_analysis(detector.name(), &analysis, counters_flag, out);
+        let failed = |e| ArgError(format!("{}: {e}", ctx.path));
+        // Uncached runs skip `analyze_segments_cached`: building the
+        // per-segment sidecar records would only slow them down.
+        let analysis = match &ctx.sidecar {
+            None => analyze_segments(seg, &detector, &sampler, ctx.jobs).map_err(failed)?,
+            Some(sidecar) => {
+                let run = analyze_segments_cached(
+                    seg,
+                    &detector,
+                    &sampler,
+                    ctx.jobs,
+                    &sidecar.config,
+                    sidecar.prior.as_ref(),
+                )
+                .map_err(failed)?;
+                eprintln!(
+                    "cache: reused {}/{} segment(s) via {}",
+                    run.reused_segments, run.total_segments, sidecar.path
+                );
+                if let Err(e) = std::fs::write(&sidecar.path, run.cache.encode()) {
+                    eprintln!("warning: cannot write analysis cache {}: {e}", sidecar.path);
+                }
+                run.analysis
+            }
+        };
+        print_analysis(detector.name(), &analysis, ctx.counters, out);
         Ok(())
     }
 
-    let counters_flag = args.flag("counters");
+    let ctx = Ctx {
+        path,
+        sidecar: sidecar.map(|path| Sidecar {
+            // The sidecar is advisory: unreadable or malformed means a
+            // cold run.
+            prior: std::fs::read(&path)
+                .ok()
+                .and_then(|bytes| AnalysisCache::decode(&bytes).ok()),
+            path,
+            config: CacheConfig {
+                engine: engine.to_owned(),
+                sampler: sampler_identity(engine, rate, seed),
+                options: String::new(),
+                state_version: CACHE_STATE_VERSION,
+                jobs: jobs as u32,
+            },
+        }),
+        jobs,
+        counters: args.flag("counters"),
+    };
     let sampler = BernoulliSampler::new(rate, seed);
     match engine {
         "ft" => {
             let full = BernoulliSampler::new(1.0, seed);
-            drive(
-                FastTrackDetector::new(full),
-                full,
-                &mut seg,
-                path,
-                jobs,
-                counters_flag,
-                out,
-            )
+            drive(FastTrackDetector::new(full), full, &mut seg, &ctx, out)
         }
-        "st" => drive(
-            DjitDetector::new(sampler),
-            sampler,
-            &mut seg,
-            path,
-            jobs,
-            counters_flag,
-            out,
-        ),
+        "st" => drive(DjitDetector::new(sampler), sampler, &mut seg, &ctx, out),
         "su" => drive(
             FreshnessDetector::new(sampler),
             sampler,
             &mut seg,
-            path,
-            jobs,
-            counters_flag,
+            &ctx,
             out,
         ),
         "so" => drive(
             OrderedListDetector::new(sampler),
             sampler,
             &mut seg,
-            path,
-            jobs,
-            counters_flag,
+            &ctx,
             out,
         ),
-        "sam" => Err(ArgError(
-            "engine `sam` has no sync/access split and cannot run with --jobs >= 2".into(),
-        )),
+        "sam" => Err(ArgError(format!(
+            "engine `sam` has no sync/access split and cannot run with {option}"
+        ))),
         other => Err(ArgError(format!("unknown engine `{other}`"))),
     }
 }
@@ -308,124 +349,6 @@ fn sampler_identity(engine: &str, rate: f64, seed: u64) -> String {
         format!("bernoulli:1:{seed}")
     } else {
         format!("bernoulli:{rate}:{seed}")
-    }
-}
-
-/// Runs `analyze --cache[=PATH]`: incremental re-analysis of a
-/// segmented `.ftb` v2 file against its `.ftc` sidecar. Stdout is
-/// byte-identical to the uncached path (cache status goes to stderr);
-/// the rewritten sidecar covering the whole file is saved back.
-fn analyze_cached<W: std::io::Write>(
-    args: &Args,
-    engine: &str,
-    rate: f64,
-    seed: u64,
-    jobs: usize,
-    out: &mut W,
-) -> Result<(), ArgError> {
-    let path = input_path(args)?;
-    if path == "-" {
-        return Err(ArgError(
-            "--cache needs a seekable segmented file, not stdin (pipe through \
-             `convert --to binary-v2` first)"
-                .into(),
-        ));
-    }
-    let file =
-        std::fs::File::open(path).map_err(|e| ArgError(format!("cannot read {path}: {e}")))?;
-    let mut seg = SegmentedTraceFile::open(file).map_err(|e| ArgError(format!("{path}: {e}")))?;
-    let cache_path = cache_path_for(args, path);
-    // The sidecar is advisory: unreadable or malformed means cold run.
-    let prior = std::fs::read(&cache_path)
-        .ok()
-        .and_then(|bytes| AnalysisCache::decode(&bytes).ok());
-
-    /// Everything `drive` needs besides the engine-specific halves.
-    struct Ctx<'a> {
-        config: &'a CacheConfig,
-        prior: Option<&'a AnalysisCache>,
-        path: &'a str,
-        cache_path: &'a str,
-        jobs: usize,
-        counters: bool,
-    }
-
-    fn drive<D, S, R, W>(
-        detector: D,
-        sampler: S,
-        seg: &mut SegmentedTraceFile<R>,
-        ctx: &Ctx<'_>,
-        out: &mut W,
-    ) -> Result<(), ArgError>
-    where
-        D: SplitDetector,
-        D::Sync: CheckpointState,
-        D::Access: CheckpointState,
-        S: Sampler + Clone + Send,
-        R: Read + std::io::Seek + Send,
-        W: std::io::Write,
-    {
-        let run =
-            analyze_segments_cached(seg, &detector, &sampler, ctx.jobs, ctx.config, ctx.prior)
-                .map_err(|e| ArgError(format!("{}: {e}", ctx.path)))?;
-        // Status on stderr so stdout stays byte-identical to the
-        // uncached path (the CI smoke step diffs the two).
-        eprintln!(
-            "cache: reused {}/{} segment(s) via {}",
-            run.reused_segments, run.total_segments, ctx.cache_path
-        );
-        if let Err(e) = std::fs::write(ctx.cache_path, run.cache.encode()) {
-            eprintln!(
-                "warning: cannot write analysis cache {}: {e}",
-                ctx.cache_path
-            );
-        }
-        print_analysis(detector.name(), &run.analysis, ctx.counters, out);
-        Ok(())
-    }
-
-    let sampler = BernoulliSampler::new(rate, seed);
-    let config = CacheConfig {
-        engine: engine.to_owned(),
-        sampler: sampler_identity(engine, rate, seed),
-        options: String::new(),
-        state_version: CACHE_STATE_VERSION,
-        jobs: jobs as u32,
-    };
-    let ctx = Ctx {
-        config: &config,
-        prior: prior.as_ref(),
-        path,
-        cache_path: &cache_path,
-        jobs,
-        counters: args.flag("counters"),
-    };
-    match engine {
-        "ft" => {
-            let full = BernoulliSampler::new(1.0, seed);
-            drive(FastTrackDetector::new(full), full, &mut seg, &ctx, out)
-        }
-        "st" => drive(DjitDetector::new(sampler), sampler, &mut seg, &ctx, out),
-        "su" => drive(
-            FreshnessDetector::new(sampler),
-            sampler,
-            &mut seg,
-            &ctx,
-            out,
-        ),
-        "so" => drive(
-            OrderedListDetector::new(sampler),
-            sampler,
-            &mut seg,
-            &ctx,
-            out,
-        ),
-        "sam" => Err(ArgError(
-            "engine `sam` has no sync/access split and cannot use the segmented \
-             analysis cache"
-                .into(),
-        )),
-        other => Err(ArgError(format!("unknown engine `{other}`"))),
     }
 }
 
@@ -609,15 +532,10 @@ fn segments_cmd<W: std::io::Write>(rest: &[String], out: &mut W) -> Result<(), A
     Ok(())
 }
 
-/// The oracle's event cap: `HbOracle` is `O(N²)` memory, so the guard
-/// must trip while *streaming* — materializing an oversized trace just
-/// to count it would buffer the very input the cap exists to reject.
-const ORACLE_EVENT_CAP: usize = 200_000;
-
 fn oracle<W: std::io::Write>(rest: &[String], out: &mut W) -> Result<(), ArgError> {
     let args = Args::parse(
         rest.iter().cloned(),
-        &["stream", "stats"],
+        &["stats"],
         &["rate", "seed", "window", "reservoir"],
     )?;
     let rate: f64 = args.get_or("rate", 1.0)?;
@@ -625,74 +543,50 @@ fn oracle<W: std::io::Write>(rest: &[String], out: &mut W) -> Result<(), ArgErro
     if !(0.0..=1.0).contains(&rate) {
         return Err(ArgError(format!("--rate must be in [0,1], got {rate}")));
     }
-    // `--window`/`--reservoir`/`--stream` select the bounded-memory
-    // streaming oracle; otherwise the exact materializing oracle runs
-    // under its event cap. Both paths share `open_validated`, so text,
-    // binary v1/v2 and stdin inputs behave identically (as `analyze`).
-    let streaming =
-        args.flag("stream") || args.get("window").is_some() || args.get("reservoir").is_some();
+    // Racy events are exact at every window size, so the default
+    // window of 0 prints the full answer in memory independent of the
+    // trace length; `--window N` only adds racy pairs to `--stats`.
+    let config = OracleConfig {
+        window: args.get_or("window", 0usize)?,
+        reservoir: args.get_or("reservoir", 0usize)?,
+        seed,
+    };
     let (mut input, path) = open_validated(&args)?;
-    let sampler = BernoulliSampler::new(rate, seed);
-    if streaming {
-        let config = OracleConfig {
-            window: args.get_or("window", usize::MAX)?,
-            reservoir: args.get_or("reservoir", 0usize)?,
-            seed,
-        };
-        let outcome = StreamingOracle::new(sampler, config)
-            .run_source(&mut input)
-            .map_err(|e| ArgError(format!("{path}: {e}")))?;
-        // Same body as the materializing path (racy events are exact at
-        // every window size), so cross-mode output is byte-identical.
+    let outcome = StreamingOracle::new(BernoulliSampler::new(rate, seed), config)
+        .run_source(&mut input)
+        .map_err(|e| ArgError(format!("{path}: {e}")))?;
+    let _ = writeln!(
+        out,
+        "{} racy event(s) among the sampled set:",
+        outcome.racy_events.len()
+    );
+    for &(id, event) in &outcome.racy_events {
+        let _ = writeln!(out, "  {id} {event}");
+    }
+    if args.flag("stats") {
+        let s = outcome.stats;
         let _ = writeln!(
             out,
-            "{} racy event(s) among the sampled set:",
-            outcome.racy_events.len()
+            "racy pairs: {} windowed, {} via reservoir ({} distinct)",
+            outcome.window_pairs.len(),
+            outcome.reservoir_pairs.len(),
+            outcome.pairs().len()
         );
-        for &(id, event) in &outcome.racy_events {
-            let _ = writeln!(out, "  {id} {event}");
-        }
-        if args.flag("stats") {
-            let s = outcome.stats;
-            let _ = writeln!(
-                out,
-                "racy pairs: {} windowed, {} via reservoir ({} distinct)",
-                outcome.window_pairs.len(),
-                outcome.reservoir_pairs.len(),
-                outcome.pairs().len()
-            );
-            let _ = writeln!(
-                out,
-                "events: {} ({} sampled, {} sync); window: {} evicted, \
-                 peak {}; checks: {} windowed, {} reservoir; \
-                 checkpoint-only races: {}; state: {} bytes",
-                s.events,
-                s.sampled_accesses,
-                s.sync_events,
-                s.evictions,
-                s.peak_window_len,
-                s.window_checks,
-                s.reservoir_checks,
-                s.summarized_races,
-                s.state_bytes
-            );
-        }
-        return Ok(());
-    }
-    let trace = Trace::from_source_limited(&mut input, ORACLE_EVENT_CAP)
-        .map_err(|e| ArgError(format!("{path}: {e}")))?
-        .ok_or_else(|| {
-            ArgError(format!(
-                "trace exceeds {ORACLE_EVENT_CAP} events; the exact oracle is O(N²) \
-                 memory — pass --window/--reservoir to stream in bounded memory"
-            ))
-        })?;
-    let oracle = HbOracle::new(&trace);
-    let mask = HbOracle::sample_mask(&trace, sampler);
-    let racy = oracle.racy_events(&mask);
-    let _ = writeln!(out, "{} racy event(s) among the sampled set:", racy.len());
-    for e in racy {
-        let _ = writeln!(out, "  {} {}", e, trace.event(e));
+        let _ = writeln!(
+            out,
+            "events: {} ({} sampled, {} sync); window: {} evicted, \
+             peak {}; checks: {} windowed, {} reservoir; \
+             checkpoint-only races: {}; state: {} bytes",
+            s.events,
+            s.sampled_accesses,
+            s.sync_events,
+            s.evictions,
+            s.peak_window_len,
+            s.window_checks,
+            s.reservoir_checks,
+            s.summarized_races,
+            s.state_bytes
+        );
     }
     Ok(())
 }
@@ -906,6 +800,7 @@ fn dbsim_cmd<W: std::io::Write>(rest: &[String], out: &mut W) -> Result<(), ArgE
 #[cfg(test)]
 mod tests {
     use super::*;
+    use freshtrack_core::HbOracle;
     use freshtrack_trace::read_trace;
 
     fn run_cli(args: &[&str]) -> (i32, String) {
@@ -1076,23 +971,33 @@ mod tests {
         assert_eq!(code, 0);
         std::fs::write(&v2_path, &v2).unwrap();
 
-        // Every input format × oracle mode prints byte-identical racy
-        // events: the exact materializing oracle, the unbounded stream,
-        // and a windowed stream (racy events are exact at any window).
-        let common = ["--rate", "0.8", "--seed", "9"];
-        let mut outputs = Vec::new();
-        for path in [&text_path, &v1_path, &v2_path] {
-            for mode in [&[][..], &["--stream"][..], &["--window", "64"][..]] {
-                let args = [&["oracle", path.to_str().unwrap()], &common[..], mode].concat();
-                let (code, out) = run_cli(&args);
-                assert_eq!(code, 0, "{args:?}: {out}");
-                assert!(out.contains("racy event(s)"), "{args:?}: {out}");
-                outputs.push((format!("{args:?}"), out));
+        // Every input format × window prints the dense reference
+        // oracle's racy events verbatim (racy events are exact at any
+        // window), in the format the CLI has always printed.
+        let trace = read_trace(&text).unwrap();
+        let oracle = HbOracle::new(&trace);
+        for (rate, seed) in [("0.8", "9"), ("1.0", "0")] {
+            let sampler = BernoulliSampler::new(rate.parse().unwrap(), seed.parse().unwrap());
+            let racy = oracle.racy_events(&HbOracle::sample_mask(&trace, sampler));
+            assert!(!racy.is_empty(), "fixture must race at rate {rate}");
+            let mut expected = format!("{} racy event(s) among the sampled set:\n", racy.len());
+            for e in racy {
+                expected.push_str(&format!("  {} {}\n", e, trace.event(e)));
             }
-        }
-        let (ref_label, reference) = &outputs[0];
-        for (label, out) in &outputs[1..] {
-            assert_eq!(out, reference, "{label} diverged from {ref_label}");
+            for path in [&text_path, &v1_path, &v2_path] {
+                for mode in [
+                    &[][..],
+                    &["--window", "64"][..],
+                    &["--window", "1", "--reservoir", "8"][..],
+                ] {
+                    let path = path.to_str().unwrap();
+                    let args =
+                        [&["oracle", path, "--rate", rate, "--seed", seed][..], mode].concat();
+                    let (code, out) = run_cli(&args);
+                    assert_eq!(code, 0, "{args:?}: {out}");
+                    assert_eq!(out, expected, "{args:?} diverged from HbOracle");
+                }
+            }
         }
     }
 
@@ -1152,34 +1057,17 @@ mod tests {
     }
 
     #[test]
-    fn oracle_cap_trips_while_streaming() {
+    fn oracle_streams_past_the_old_event_cap() {
         let dir = std::env::temp_dir().join("freshtrack-cli-oracle-cap");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("big.trace");
-        // One event over the cap. The old guard materialized the whole
-        // trace before counting; the streaming guard gives up on the
-        // 200_001st event without buffering past the limit.
-        let mut text = String::with_capacity((ORACLE_EVENT_CAP + 1) * 8);
-        for _ in 0..=ORACLE_EVENT_CAP {
-            text.push_str("T0|w(x)\n");
-        }
-        std::fs::write(&path, &text).unwrap();
-        let (code, out) = run_cli(&["oracle", path.to_str().unwrap()]);
-        assert_eq!(code, 1);
-        assert!(out.contains("exceeds 200000 events"), "{out}");
-        // The refusal names the streaming escape hatch, which handles
-        // the same over-cap input in bounded memory.
-        assert!(out.contains("--window"), "{out}");
-        let (code, out) = run_cli(&["oracle", path.to_str().unwrap(), "--window", "16"]);
-        assert_eq!(code, 0, "{out}");
-        assert!(out.contains("0 racy event(s)"), "{out}");
-
-        // At the cap the oracle still runs (single-thread: no races).
-        let at_cap = &text[..text.len() - "T0|w(x)\n".len()];
-        std::fs::write(&path, at_cap).unwrap();
+        // Past 200k events the dense O(N²) oracle would need ~5 GB; the
+        // default window-0 stream holds state independent of the trace
+        // length, so any length runs (single thread: no races).
+        std::fs::write(&path, "T0|w(x)\n".repeat(200_001)).unwrap();
         let (code, out) = run_cli(&["oracle", path.to_str().unwrap()]);
         assert_eq!(code, 0, "{out}");
-        assert!(out.contains("0 racy event(s)"), "{out}");
+        assert_eq!(out, "0 racy event(s) among the sampled set:\n");
     }
 
     /// Writes a racy generated workload as text, v1 binary, and v2
@@ -1419,6 +1307,7 @@ mod tests {
                 "--shrads",
             ),
             (&["oracle", "t.trace", "--windw=16"], "--windw"),
+            (&["oracle", "t.trace", "--stream"], "--stream"),
             (&["generate", "--count"], "--count"),
         ] {
             let (code, out) = run_cli(args);

@@ -6,11 +6,10 @@
 //!   in constant memory; `--jobs N` replays a segmented `.ftb` v2 file
 //!   in parallel with byte-identical output, and `--cache` keeps a
 //!   `.ftc` sidecar so re-analysis after an append costs O(appended).
-//! * `oracle <trace>` — ground-truth racy events. The default exact
-//!   mode materializes (200k-event cap, enforced while streaming);
-//!   `--window N` / `--reservoir K` / `--stream` switch to the
-//!   bounded-memory [`StreamingOracle`] — same racy-event output at
-//!   any window size, unbounded input length.
+//! * `oracle <trace>` — ground-truth racy events, streamed through the
+//!   bounded-memory [`StreamingOracle`] with a default window of 0:
+//!   racy events are exact at any window size and any input length;
+//!   `--window N` / `--reservoir K` add racy pairs to `--stats`.
 //!
 //! [`StreamingOracle`]: freshtrack_core::StreamingOracle
 //! * `stats <trace>` — trace statistics, streamed in constant memory.
@@ -60,18 +59,17 @@ COMMANDS:
                       re-analysis after an append costs O(appended),
                       output stays byte-identical to a cold run
                       --no-cache    ignore any sidecar even if --cache
-    oracle <trace>    ground-truth racy events (`-` = stdin; text or
-                      binary input auto-detected, exactly as analyze)
+    oracle <trace>    ground-truth racy events, streamed in memory
+                      independent of the trace length (`-` = stdin;
+                      text or binary input auto-detected)
                       --rate <0..1> (default 1.0)   --seed <n>
-                      default: exact O(N^2) oracle, capped at 200k
-                      events (enforced while streaming)
-                      --stream          bounded-memory streaming oracle
-                      --window <n>      per-var access window (implies
-                      --stream; racy events stay exact, racy pairs
-                      are reported while windowed)
+                      --window <n>      per-var access window (default
+                      0; racy events are exact at any window, racy
+                      pairs are reported while windowed)
                       --reservoir <k>   also check pairs against a
-                      uniform reservoir of k accesses (implies --stream)
-                      --stats           print run statistics
+                      uniform reservoir of k accesses
+                      --stats           print racy pairs and run
+                      statistics
     stats <trace>     print trace statistics (streaming, constant
                       memory; `-` = stdin, format auto-detected)
     convert <trace>   re-encode a trace to stdout (`-` = stdin,

@@ -43,7 +43,9 @@
 //! Memory is `O(T² + L·T + V·(W·T + T) + K·T)` for `T` threads, `L`
 //! locks, `V` variables, window `W` and reservoir `K` — independent of
 //! the trace length `N`, which is what lets the differential suites run
-//! over corpus-scale `.ftb` traces.
+//! over corpus-scale `.ftb` traces. The `freshtrack oracle` command
+//! runs it with `W = 0` unless `--window` is given: racy events need no
+//! window, and `O(T² + L·T + V·T)` state fits any input length.
 //!
 //! The oracle is deliberately *independent* of the production engines:
 //! it uses plain [`VectorClock`]s (no copy-on-write sharing, no epochs,

@@ -261,39 +261,11 @@ impl Trace {
     ///
     /// Propagates the first error the source reports.
     pub fn from_source<S: EventSource + ?Sized>(source: &mut S) -> Result<Trace, SourceError> {
-        match Trace::from_source_limited(source, usize::MAX)? {
-            Some(trace) => Ok(trace),
-            None => unreachable!("no trace exceeds usize::MAX events"),
-        }
-    }
-
-    /// Materializes a source like [`Trace::from_source`], but gives up
-    /// with `Ok(None)` as soon as the stream exceeds `limit` events —
-    /// **before** buffering more than `limit + 1` of them.
-    ///
-    /// This is the bounded-memory guard for consumers with superlinear
-    /// cost in the trace length (the CLI's O(N²)-memory `oracle`): a cap
-    /// checked after materialization would OOM on the oversized input it
-    /// exists to reject.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first error the source reports (checked before
-    /// the limit: a malformed oversized input is malformed, not merely
-    /// oversized).
-    pub fn from_source_limited<S: EventSource + ?Sized>(
-        source: &mut S,
-        limit: usize,
-    ) -> Result<Option<Trace>, SourceError> {
-        let hint = source.remaining_hint().unwrap_or(0);
-        let mut events = Vec::with_capacity(hint.min(limit.saturating_add(1)));
+        let mut events = Vec::with_capacity(source.remaining_hint().unwrap_or(0));
         while let Some(event) = source.next_event()? {
-            if events.len() >= limit {
-                return Ok(None);
-            }
             events.push(event);
         }
-        Ok(Some(Trace {
+        Ok(Trace {
             events,
             n_threads: source.threads(),
             lock_names: (0..source.lock_count())
@@ -302,7 +274,7 @@ impl Trace {
             var_names: (0..source.var_count())
                 .map(|v| source.var_name(v).to_owned())
                 .collect(),
-        }))
+        })
     }
 }
 

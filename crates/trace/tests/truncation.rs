@@ -198,19 +198,8 @@ fn non_magic_inputs_are_not_binary_traces() {
 }
 
 #[test]
-fn from_source_limited_stops_buffering_at_the_cap() {
-    let trace = sample_trace();
-    let n = trace.len();
-
-    let at_cap = Trace::from_source_limited(&mut trace.source(), n).unwrap();
-    assert_eq!(at_cap.expect("exactly at the cap fits").len(), n);
-
-    let over_cap = Trace::from_source_limited(&mut trace.source(), n - 1).unwrap();
-    assert!(over_cap.is_none(), "one event over the cap must give up");
-
-    // A malformed oversized input is malformed, not merely oversized:
-    // the error wins over the cap.
+fn from_source_reports_malformed_input_by_line() {
     let mut reader = EventReader::new(&b"T0|w(x)\nbogus\n"[..]);
-    let err = Trace::from_source_limited(&mut reader, 1).unwrap_err();
+    let err = Trace::from_source(&mut reader).unwrap_err();
     assert!(err.to_string().contains("line 2"), "{err}");
 }
